@@ -6,8 +6,8 @@ O2 (filter + sketching), O1+O2 (everything). Per-variant stage timings
 Expected shape: the CA stage dominates on the large-epsilon Liquor workload
 and O1/O2 collapse it; absolute times are not comparable to the paper's C++.
 
-``REPRO_SMALL=1`` scales the datasets down; with a Spark session the heavy
-Vanilla CA stage is distributed.
+``REPRO_SMALL=1`` scales the datasets down. Every variant runs CA in the
+driver with the batched kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import env_flag, get_spark, save_table  # noqa: E402
+from _common import env_flag, save_table  # noqa: E402
 
 from repro.core.pipeline import Config, explain_series  # noqa: E402
 from table7_quality import _series  # noqa: E402
@@ -35,7 +35,7 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
     rows = []
     for name, S, labels, attrs, total in _series(small):
         for variant, cfg in VARIANTS.items():
-            res = explain_series(S, labels, attrs, total, cfg, spark=spark)
+            res = explain_series(S, labels, attrs, total, cfg)
             rows.append(
                 {
                     "dataset": name,
@@ -52,13 +52,9 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
 
 
 def main() -> None:
-    small = env_flag("REPRO_SMALL")
-    spark = get_spark("fig15") if env_flag("REPRO_USE_SPARK", default=True) else None
-    try:
-        save_table(run(spark, small), "fig15_latency", "Fig. 15 — latency breakdown")
-    finally:
-        if spark is not None:
-            spark.stop()
+    save_table(
+        run(small=env_flag("REPRO_SMALL")), "fig15_latency", "Fig. 15 — latency breakdown"
+    )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from pathlib import Path
 import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import env_flag, get_spark, save_table  # noqa: E402
+from _common import env_flag, save_table  # noqa: E402
 
 from repro.core.pipeline import Config, explain_series  # noqa: E402
 from repro.eval.harness import explain_fixed_cuts, run_baseline  # noqa: E402
@@ -27,7 +27,7 @@ from table7_quality import VANILLA, _series  # noqa: E402
 def run(spark=None, small: bool = False) -> pd.DataFrame:
     rows = []
     for name, S, labels, attrs, total in _series(small):
-        opt = explain_series(S, labels, attrs, total, Config(), spark=spark)
+        opt = explain_series(S, labels, attrs, total, Config())
         rows.append(
             {
                 "dataset": name,
@@ -37,7 +37,7 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
                 "total_s": round(opt.timings["total"], 3),
             }
         )
-        van = explain_series(S, labels, attrs, total, VANILLA, spark=spark)
+        van = explain_series(S, labels, attrs, total, VANILLA)
         rows.append(
             {
                 "dataset": name,
@@ -66,13 +66,9 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
 
 
 def main() -> None:
-    small = env_flag("REPRO_SMALL")
-    spark = get_spark("fig16") if env_flag("REPRO_USE_SPARK", default=True) else None
-    try:
-        save_table(run(spark, small), "fig16_e2e", "Fig. 16 — end-to-end latency")
-    finally:
-        if spark is not None:
-            spark.stop()
+    save_table(
+        run(small=env_flag("REPRO_SMALL")), "fig16_e2e", "Fig. 16 — end-to-end latency"
+    )
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import env_flag, env_int, get_spark, save_table  # noqa: E402
+from _common import env_int, save_table  # noqa: E402
 
 from repro.core.pipeline import Config, explain_series  # noqa: E402
 from repro.datasets import synthetic  # noqa: E402
@@ -43,7 +43,7 @@ def run(spark=None, lengths=None, budget=None, n_reps: int = 2) -> pd.DataFrame:
             for rep in range(n_reps):
                 sd = synthetic.generate(n=n, snr_db=40, seed=300 + rep)
                 res = explain_series(
-                    sd.S, sd.labels, list(sd.attrs), sd.total, cfg, spark=spark
+                    sd.S, sd.labels, list(sd.attrs), sd.total, cfg
                 )
                 ts.append(res.timings["total"])
             avg = sum(ts) / len(ts)
@@ -55,12 +55,7 @@ def run(spark=None, lengths=None, budget=None, n_reps: int = 2) -> pd.DataFrame:
 
 
 def main() -> None:
-    spark = get_spark("fig17") if env_flag("REPRO_USE_SPARK", default=True) else None
-    try:
-        save_table(run(spark), "fig17_scalability", "Fig. 17 — scalability in n")
-    finally:
-        if spark is not None:
-            spark.stop()
+    save_table(run(), "fig17_scalability", "Fig. 17 — scalability in n")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ def run(spark=None) -> pd.DataFrame:
         S, total = cv.series(kind)
         res = explain_series(
             S, cv.labels, list(cv.attrs), total, Config(), times=list(cv.dates),
-            spark=spark,
         )
         tab = segments_table(res.segments)
         tab.insert(0, "series", kind)

@@ -26,7 +26,6 @@ def run(spark=None) -> pd.DataFrame:
     sm = series_matrix_pandas(rel, "date", list(sp.attrs), "mv")
     res = explain_series(
         sm.S, sm.labels, list(sm.attrs), sm.total, Config(), times=sm.times,
-        spark=spark,
     )
     print(
         f"[table4] K={res.K} cuts={res.cuts} gt={sp.gt_cuts} "

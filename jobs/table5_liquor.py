@@ -24,7 +24,6 @@ def run(spark=None) -> pd.DataFrame:
     sm = series_matrix_pandas(lq.relation(), "date", list(lq.attrs), "bottles")
     res = explain_series(
         sm.S, sm.labels, list(sm.attrs), sm.total, Config(), times=sm.times,
-        spark=spark,
     )
     print(
         f"[table5] K={res.K} cuts={res.cuts} gt={lq.gt_cuts} "

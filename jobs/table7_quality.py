@@ -5,9 +5,9 @@ Guess-and-verify is exact; filter and sketching approximate, so the optimized
 variance may be equal or slightly higher. Both runs use the Vanilla run's
 elbow-selected K so the objectives are directly comparable.
 
-The Vanilla Liquor run is the heavy case (full epsilon, O(n^2) CA calls); with
-a Spark session it is distributed via mapInPandas. ``REPRO_SMALL=1`` scales
-the datasets down for smoke runs.
+The Vanilla Liquor run is the heavy case (full epsilon, O(n^2) segments
+through the batched CA kernel). ``REPRO_SMALL=1`` scales the datasets down
+for smoke runs.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import env_flag, get_spark, save_table  # noqa: E402
+from _common import env_flag, save_table  # noqa: E402
 
 from repro.core.pipeline import Config, explain_series  # noqa: E402
 from repro.core.precompute import series_matrix_pandas  # noqa: E402
@@ -49,9 +49,9 @@ VANILLA = Config(use_filter=False, use_gv=False, use_sketch=False)
 def run(spark=None, small: bool = False) -> pd.DataFrame:
     rows = []
     for name, S, labels, attrs, total in _series(small):
-        van = explain_series(S, labels, attrs, total, VANILLA, spark=spark)
+        van = explain_series(S, labels, attrs, total, VANILLA)
         opt = explain_series(
-            S, labels, attrs, total, Config(K=van.K), spark=spark
+            S, labels, attrs, total, Config(K=van.K)
         )
         rows.append(
             {
@@ -68,15 +68,11 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
 
 
 def main() -> None:
-    small = env_flag("REPRO_SMALL")
-    spark = get_spark("table7") if env_flag("REPRO_USE_SPARK", default=True) else None
-    try:
-        save_table(
-            run(spark, small), "table7_quality", "Table 7 — optimization quality"
-        )
-    finally:
-        if spark is not None:
-            spark.stop()
+    save_table(
+        run(small=env_flag("REPRO_SMALL")),
+        "table7_quality",
+        "Table 7 — optimization quality",
+    )
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ types        Explanation predicates and non-overlap semantics (Def. 3.1, 3.4).
 space        Drill-down explanation space (candidates + prefix closure).
 diff         Two-relations diff scores gamma/tau (Def. 3.2, 3.3), Spark + matrix forms.
 precompute   Spark GROUPING SETS per-explanation series (pipeline module a).
-cascading    Cascading Analysts top-m non-overlapping DP + guess-and-verify.
-spark_ca     Distributed CA over segments via mapInPandas.
+cascading    Cascading Analysts top-m non-overlapping DP + guess-and-verify,
+             batched over segments (the production kernel) and scalar (oracle).
+toplists     Per-segment top lists: chunks of segments through the batched kernel.
+spark_ca     Optional: the batched CA kernel on Spark executors via mapInPandas.
 ndcg         Scalar-reference NDCG distance (Sec. 4.1).
 segcost      Vectorized within-segment cost matrices for all 8 metrics.
 kseg         K-Segmentation dynamic program (Eq. 11).

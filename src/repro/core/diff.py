@@ -21,7 +21,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cascading import topm_nonoverlapping
+from repro.core.cascading import CAPlan
 from repro.core.precompute import VAL, _gcol, grouping_sets_agg, order_col
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation
@@ -90,7 +90,7 @@ def topm_for_relations(
         nid = space.id_of[e]
         gamma[nid] = float(g)
         tau[nid] = int(tv)
-    res = topm_nonoverlapping(space, gamma, m)
+    ids = CAPlan(space).run(gamma[:, None], m).ids[0]
     return [
-        (space.explanations[i], float(gamma[i]), int(tau[i])) for i in res.ids
+        (space.explanations[i], float(gamma[i]), int(tau[i])) for i in ids if i >= 0
     ]

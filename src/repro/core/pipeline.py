@@ -8,6 +8,11 @@ Two entry points:
 - :func:`explain_relation` — the full Spark path: relation DataFrame →
   GROUPING SETS cube (Catalyst) → matrix → ``explain_series``.
 
+Spark computes the cube; everything after it runs in the driver. The
+Cascading Analysts stage (object lists, sketch phase I, phase II) is one
+batched DP pass per chunk of segments (:mod:`repro.core.cascading`), so no
+stage ships per-segment work to executors.
+
 Stage timings are recorded for the latency tables (Fig. 15/16/17):
 ``precompute`` (cube/pivot/filter/space build), ``ca`` (all Cascading-Analysts
 top-list computations, including sketch phase I), ``kseg`` (cost matrices, DP,
@@ -24,7 +29,7 @@ import numpy as np
 from repro.core.elbow import kneedle
 from repro.core.filtering import DEFAULT_RATIO, support_mask
 from repro.core.kseg import DPResult, all_segments, build_cost_matrix, dp_segment
-from repro.core.segcost import costs_for_segments
+from repro.core.segcost import ALL_METRICS, costs_for_segments
 from repro.core.sketch import select_sketch
 from repro.core.space import ExplanationSpace
 from repro.core.toplists import TopLists, compute_toplists, object_segments
@@ -49,7 +54,17 @@ class Config:
     sketch_L: Optional[int] = None
     sketch_size: Optional[int] = None
     smooth_window: Optional[int] = None
-    spark_ca_min_segments: int = 2000  # distribute CA when enough segments
+
+    def __post_init__(self) -> None:
+        for name in ("m", "beta_max", "k_max", "gv_m_bar0"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"Config.{name} must be >= 1, got {getattr(self, name)}")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"Config.K must be >= 1 or None, got {self.K}")
+        if self.metric not in ALL_METRICS:
+            raise ValueError(
+                f"Config.metric must be one of {ALL_METRICS}, got {self.metric!r}"
+            )
 
 
 @dataclass
@@ -108,9 +123,17 @@ def explain_series(
     total: np.ndarray,
     cfg: Config = Config(),
     times: Optional[Sequence] = None,
-    spark=None,
 ) -> ExplainResult:
-    """Run K-Segmentation + evolving explanations over a series matrix."""
+    """Run K-Segmentation + evolving explanations over a series matrix.
+
+    When no explanation survives (no candidates, or the filter drops them
+    all), the answer is one segment over the whole series with no
+    explanations.
+    """
+    S = np.asarray(S, dtype=float)
+    total = np.asarray(total, dtype=float)
+    if not (np.isfinite(S).all() and np.isfinite(total).all()):
+        raise ValueError("S and total must be finite (found NaN or inf)")
     n = S.shape[1]
     times = list(times) if times is not None else list(range(n))
     timings: Dict[str, float] = {}
@@ -129,6 +152,8 @@ def explain_series(
     space = ExplanationSpace(labels, attrs)
     S_al = _aligned_matrix(S, labels, space)
     timings["precompute"] = time.perf_counter() - t0
+    if not space.n_nodes:
+        return _unexplained(n, epsilon, times, timings)
 
     # --- module (b): top-explanations per segment -------------------------
     t0 = time.perf_counter()
@@ -149,16 +174,9 @@ def explain_series(
     else:
         positions = list(range(n))
     segments = all_segments(positions)
-    if spark is not None and len(segments) >= cfg.spark_ca_min_segments:
-        from repro.core.spark_ca import compute_toplists_spark
-
-        cen_tl = compute_toplists_spark(
-            spark, S_al, space, segments, cfg.m, cfg.use_gv, cfg.gv_m_bar0
-        )
-    else:
-        cen_tl = compute_toplists(
-            S_al, space, segments, cfg.m, cfg.use_gv, cfg.gv_m_bar0
-        )
+    cen_tl = compute_toplists(
+        S_al, space, segments, cfg.m, cfg.use_gv, cfg.gv_m_bar0
+    )
     timings["ca"] = time.perf_counter() - t0
 
     # --- module (c): costs, DP, elbow -------------------------------------
@@ -202,6 +220,26 @@ def explain_series(
     )
 
 
+def _unexplained(
+    n: int, epsilon: int, times: List, timings: Dict[str, float]
+) -> ExplainResult:
+    """The answer for an empty explanation space: K=1, no explanations."""
+    timings.update(ca=0.0, kseg=0.0)
+    timings["total"] = sum(timings.values())
+    return ExplainResult(
+        n=n,
+        epsilon=epsilon,
+        filtered_epsilon=0,
+        K=1,
+        cuts=[],
+        total_variance=0.0,
+        curve=[0.0],
+        segments=[SegmentResult(0, n - 1, times[0], times[n - 1], [])],
+        timings=timings,
+        positions=[0, n - 1],
+    )
+
+
 def explain_relation(
     df,
     time_col: str,
@@ -209,7 +247,6 @@ def explain_relation(
     measure_expr: str,
     agg: str = "sum",
     cfg: Config = Config(),
-    use_spark_ca: bool = True,
 ) -> ExplainResult:
     """Full Spark path: Catalyst GROUPING SETS cube → matrix → explain."""
     from repro.core.precompute import series_matrix
@@ -217,15 +254,7 @@ def explain_relation(
     t0 = time.perf_counter()
     sm = series_matrix(df, time_col, attrs, measure_expr, agg, cfg.beta_max)
     spark_time = time.perf_counter() - t0
-    res = explain_series(
-        sm.S,
-        sm.labels,
-        attrs,
-        sm.total,
-        cfg,
-        times=sm.times,
-        spark=df.sparkSession if use_spark_ca else None,
-    )
+    res = explain_series(sm.S, sm.labels, attrs, sm.total, cfg, times=sm.times)
     res.timings["precompute"] += spark_time
     res.timings["total"] += spark_time
     return res

@@ -11,8 +11,9 @@ set yields the overall aggregated time series ts(R); every other row belongs
 to one candidate explanation's series ts(sigma_E R). The result is pivoted to
 an eps x n matrix for the downstream numpy/DP stages.
 
-Also hosts the relational form of the support filter and a window-function
-helper for per-explanation deltas.
+Also hosts the relational form of the support filter. Explain-by and time
+column names are backtick-quoted wherever they are spliced into SQL or column
+references, so names with spaces or dots work.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession, Window
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.filtering import DEFAULT_RATIO
@@ -35,6 +36,11 @@ TIME = "__t"
 
 def _gcol(attr: str) -> str:
     return f"__g_{attr}"
+
+
+def _q(name: str) -> str:
+    """Backtick-quoted identifier for Spark SQL and column references."""
+    return "`" + name.replace("`", "``") + "`"
 
 
 def _attr_subsets(attrs: Sequence[str], beta_max: int) -> List[Tuple[str, ...]]:
@@ -66,13 +72,13 @@ def grouping_sets_agg(
     df.createOrReplaceTempView(view)
     prefix = [time_col] if time_col else []
     sets = ", ".join(
-        "(" + ", ".join(list(prefix) + list(sub)) + ")"
+        "(" + ", ".join(_q(c) for c in list(prefix) + list(sub)) + ")"
         for sub in _attr_subsets(attrs, beta_max)
     )
     select = (
-        ([f"{time_col} AS {TIME}"] if time_col else [])
-        + list(attrs)
-        + [f"grouping({a}) AS {_gcol(a)}" for a in attrs]
+        ([f"{_q(time_col)} AS {TIME}"] if time_col else [])
+        + [_q(a) for a in attrs]
+        + [f"grouping({_q(a)}) AS {_q(_gcol(a))}" for a in attrs]
         + [f"{agg}({measure_expr}) AS {VAL}"]
     )
     sql = (
@@ -87,7 +93,7 @@ def grouping_sets_agg(
 def order_col(attrs: Sequence[str]) -> Column:
     """Explanation order of a cube row = number of concrete attributes."""
     return reduce(
-        lambda a, b: a + b, [1 - F.col(_gcol(a)) for a in attrs], F.lit(0)
+        lambda a, b: a + b, [1 - F.col(_q(_gcol(a))) for a in attrs], F.lit(0)
     )
 
 
@@ -123,7 +129,7 @@ def filter_support_spark(
     )
     keep = (
         slices.join(total, on=TIME)
-        .groupBy(*attrs, *gcols)
+        .groupBy(*[F.col(_q(c)) for c in [*attrs, *gcols]])
         .agg(F.max(ratio_col).alias("__maxratio"))
         .filter((F.col("__maxratio") >= ratio))
         .drop("__maxratio")
@@ -132,19 +138,11 @@ def filter_support_spark(
     sl = slices.alias("s")
     cond = reduce(
         lambda a, b: a & b,
-        [F.col(f"s.{c}").eqNullSafe(F.col(f"k.{c}")) for c in attrs]
-        + [F.col(f"s.{c}") == F.col(f"k.{c}") for c in gcols],
+        [F.col(f"s.{_q(c)}").eqNullSafe(F.col(f"k.{_q(c)}")) for c in attrs]
+        + [F.col(f"s.{_q(c)}") == F.col(f"k.{_q(c)}") for c in gcols],
     )
     kept = sl.join(keep, on=cond, how="leftsemi")
     return kept.unionByName(cand.filter(F.col("__order") == 0))
-
-
-def with_object_deltas(cand: DataFrame, attrs: Sequence[str]) -> DataFrame:
-    """Window-function form of the atomic-object deltas: per-explanation
-    ``val - lag(val)`` ordered by time (used by tests and trendline jobs)."""
-    gcols = [_gcol(a) for a in attrs]
-    w = Window.partitionBy(*attrs, *gcols).orderBy(TIME)
-    return cand.withColumn("__delta", F.col(VAL) - F.lag(VAL).over(w))
 
 
 @dataclass
@@ -262,5 +260,6 @@ def series_matrix(
     cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
     if filter_ratio is not None:
         cand = filter_support_spark(cand, attrs, filter_ratio)
-    pdf = cand.select(TIME, *attrs, *[_gcol(a) for a in attrs], VAL).toPandas()
+    cols = [TIME, *attrs, *[_gcol(a) for a in attrs], VAL]
+    pdf = cand.select(*[F.col(_q(c)) for c in cols]).toPandas()
     return to_matrix(pdf, attrs)

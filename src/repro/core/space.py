@@ -32,6 +32,14 @@ class ExplanationSpace:
         predicate on ``attr``.
     root_children : dict[str, list[int]]
         Order-1 nodes grouped by their single attribute.
+    parents : list[list[int]]
+        ``parents[nid]`` = ids of the nodes one predicate coarser than
+        ``nid`` (empty for order 1).
+
+    Both maps are canonical: attributes in ``attrs`` order, ids ascending.
+    Cascading Analysts breaks ties by this order, so a restricted space (whose
+    ids keep the relative order of the parent space's) breaks them the same
+    way as its parent.
     """
 
     def __init__(
@@ -80,18 +88,30 @@ class ExplanationSpace:
         self.takeable = np.asarray(take, dtype=bool)
         self.order = np.asarray([e.order for e in explanations], dtype=np.int64)
 
-        self.children: List[Dict[str, List[int]]] = [dict() for _ in explanations]
-        self.root_children: Dict[str, List[int]] = {}
+        children: List[Dict[str, List[int]]] = [dict() for _ in explanations]
+        root_children: Dict[str, List[int]] = {}
+        self.parents: List[List[int]] = [[] for _ in explanations]
         for nid, e in enumerate(explanations):
             if e.order == 1:
-                self.root_children.setdefault(e.attrs[0], []).append(nid)
+                root_children.setdefault(e.attrs[0], []).append(nid)
             else:
                 for a, _ in e.preds:
                     pid = id_of[e.drop(a)]
-                    self.children[pid].setdefault(a, []).append(nid)
+                    children[pid].setdefault(a, []).append(nid)
+                    self.parents[nid].append(pid)
+        self._link(children, root_children)
+
+    def _link(
+        self, children: List[Dict[str, List[int]]], root_children: Dict[str, List[int]]
+    ) -> None:
+        def canonical(groups: Dict[str, List[int]]) -> Dict[str, List[int]]:
+            return {a: groups[a] for a in self.attrs if groups.get(a)}
+
+        self.children = [canonical(c) for c in children]
+        self.root_children = canonical(root_children)
         # Process order: children before parents (descending order).
         self.topo_desc: List[int] = sorted(
-            range(len(explanations)), key=lambda i: -self.order[i]
+            range(len(self.explanations)), key=lambda i: -self.order[i]
         )
 
     @property
@@ -109,15 +129,34 @@ class ExplanationSpace:
     def restrict(self, keep_ids: Sequence[int]) -> Tuple["ExplanationSpace", np.ndarray]:
         """Sub-space whose takeable nodes are exactly ``keep_ids``.
 
-        Closure prefixes are re-added automatically (non-takeable). Returns the
-        sub-space and ``old_of_new`` mapping each new node id back to the id in
-        this space (closure nodes of the subset always exist here too).
+        Closure prefixes are re-added (non-takeable). Returns the sub-space and
+        ``old_of_new`` mapping each new node id back to the id in this space
+        (closure nodes of the subset always exist here too). ``old_of_new`` is
+        increasing, so the sub-space keeps this space's id order.
 
         Used by guess-and-verify: CA restricted to the top-m̄ candidates.
         """
-        keep = [self.explanations[i] for i in keep_ids]
-        sub = ExplanationSpace(keep, self.attrs)
-        old_of_new = np.asarray(
-            [self.id_of[e] for e in sub.explanations], dtype=np.int64
-        )
-        return sub, old_of_new
+        keep = {int(i) for i in keep_ids}
+        nodes, todo = set(keep), list(keep)
+        while todo:
+            for p in self.parents[todo.pop()]:
+                if p not in nodes:
+                    nodes.add(p)
+                    todo.append(p)
+        old = sorted(nodes)
+        new_of = {o: i for i, o in enumerate(old)}
+
+        def remap(groups: Dict[str, List[int]]) -> Dict[str, List[int]]:
+            return {a: [new_of[k] for k in kids if k in new_of] for a, kids in groups.items()}
+
+        # The links of the sub-space are this space's links among the kept
+        # nodes, so it is assembled from them instead of re-derived.
+        sub = ExplanationSpace.__new__(ExplanationSpace)
+        sub.attrs = self.attrs
+        sub.explanations = [self.explanations[o] for o in old]
+        sub.id_of = {e: i for i, e in enumerate(sub.explanations)}
+        sub.takeable = np.asarray([o in keep for o in old], dtype=bool)
+        sub.order = self.order[old]
+        sub.parents = [[new_of[p] for p in self.parents[o]] for o in old]
+        sub._link([remap(self.children[o]) for o in old], remap(self.root_children))
+        return sub, np.asarray(old, dtype=np.int64)

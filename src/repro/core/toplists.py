@@ -3,6 +3,10 @@
 For every segment (s, e) we run the Cascading Analysts algorithm on the
 gamma vector ``|S[:, e] - S[:, s]|`` and store the ranked ids, gammas, signs
 and the ideal DCG. Lists are padded to length m with id = -1 / gamma = 0.
+
+The segments go through the batched kernel of :mod:`repro.core.cascading` in
+chunks sized to a fixed memory budget. ``_toplist_row`` keeps the scalar
+per-segment path as the test oracle.
 """
 from __future__ import annotations
 
@@ -11,10 +15,19 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cascading import topm_guess_verify, topm_nonoverlapping
+from repro.core.cascading import (
+    CAPlan,
+    guess_verify_batched,
+    topm_guess_verify,
+    topm_nonoverlapping,
+)
 from repro.core.space import ExplanationSpace
 
 Segment = Tuple[int, int]
+
+# Working memory of one kernel chunk; the chunk's segment count follows from
+# the space size and m (see ``_chunk_rows``).
+_CHUNK_BYTES = 64 << 20
 
 
 def dcg_weights(m: int) -> np.ndarray:
@@ -48,6 +61,14 @@ class TopLists:
         return [int(i) for i in self.ids[r] if i >= 0]
 
 
+def _chunk_rows(n_nodes: int, m: int) -> int:
+    """Segments per kernel chunk. On the full space the DP peaks at about
+    five (m+1)-deep float64 values per node and segment (``best``, the
+    knapsack accumulator and its temporaries); guess-and-verify works on a
+    smaller restricted space and stays below that."""
+    return max(1, _CHUNK_BYTES // ((n_nodes + 1) * (m + 1) * 40))
+
+
 def compute_toplists(
     S: np.ndarray,
     space: ExplanationSpace,
@@ -56,17 +77,27 @@ def compute_toplists(
     use_gv: bool = True,
     m_bar0: int = 30,
 ) -> TopLists:
-    """Run CA (optionally with guess-and-verify) for every segment, locally."""
+    """Run CA (optionally with guess-and-verify) for every segment, locally,
+    with the batched kernel over chunks of segments."""
     segs = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2)
-    rows = [
-        _toplist_row(S, space, (int(s), int(e)), m, use_gv, m_bar0)
-        for s, e in segs
-    ]
-    ids = np.stack([r[0] for r in rows]) if rows else np.zeros((0, m), np.int64)
-    gammas = np.stack([r[1] for r in rows]) if rows else np.zeros((0, m))
-    signs = np.stack([r[2] for r in rows]) if rows else np.zeros((0, m), np.int8)
-    w = dcg_weights(m)
-    idcg = (gammas * w).sum(axis=1)
+    R = len(segs)
+    ids = np.full((R, m), -1, dtype=np.int64)
+    gammas = np.zeros((R, m))
+    signs = np.zeros((R, m), dtype=np.int8)
+    plan = None if use_gv else CAPlan(space)
+    step = _chunk_rows(space.n_nodes, m)
+    for lo in range(0, R, step):
+        rows = slice(lo, lo + step)
+        d = S[:, segs[rows, 1]] - S[:, segs[rows, 0]]
+        g = np.abs(d)
+        res = guess_verify_batched(space, g, m, m_bar0) if use_gv else plan.run(g, m)
+        ids[rows] = res.ids
+        # Padding ids (-1) pick an appended zero row.
+        pad = np.zeros((1, d.shape[1]))
+        cols = np.arange(d.shape[1])[:, None]
+        gammas[rows] = np.vstack([g, pad])[res.ids, cols]
+        signs[rows] = np.sign(np.vstack([d, pad]))[res.ids, cols]
+    idcg = (gammas * dcg_weights(m)).sum(axis=1)
     return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs, idcg=idcg)
 
 
@@ -78,7 +109,8 @@ def _toplist_row(
     use_gv: bool,
     m_bar0: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One segment's padded (ids, gammas, signs)."""
+    """One segment's padded (ids, gammas, signs) by the scalar reference CA
+    (test oracle for :func:`compute_toplists`)."""
     s, e = seg
     d = S[:, e] - S[:, s]
     g = np.abs(d)

@@ -129,3 +129,54 @@ class TestMovingAverage:
         S = rng.normal(0, 1, (1, 500))
         sm = moving_average(S, 7)
         assert sm.std() < S.std() * 0.6
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(m=0),
+            dict(K=0),
+            dict(k_max=0),
+            dict(beta_max=0),
+            dict(gv_m_bar0=0),
+            dict(metric="no-such-metric"),
+        ],
+    )
+    def test_config_rejects_out_of_range(self, kw):
+        with pytest.raises(ValueError):
+            Config(**kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["S", "total"])
+    def test_non_finite_input_rejected(self, bad, where):
+        S, labels, total = _planted()
+        if where == "S":
+            S = S.copy()
+            S[1, 7] = bad
+        else:
+            total = total.copy()
+            total[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            explain_series(S, labels, ["cat"], total, Config(K=2))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [Config(), Config(use_filter=False, use_sketch=False)],
+        ids=["filtered", "unfiltered"],
+    )
+    def test_all_zero_input(self, cfg):
+        S = np.zeros((3, 30))
+        labels = [Explanation.of(cat=x) for x in "abc"]
+        res = explain_series(S, labels, ["cat"], S.sum(axis=0), cfg)
+        assert res.K == 1 and res.cuts == []
+        assert [(g.start, g.end, g.explanations) for g in res.segments] == [(0, 29, [])]
+
+    def test_filter_dropping_every_row(self):
+        S, labels, total = _planted()
+        res = explain_series(S, labels, ["cat"], total, Config(filter_ratio=2.0))
+        assert res.filtered_epsilon == 0
+        assert res.K == 1 and res.cuts == [] and res.total_variance == 0.0
+        assert len(res.segments) == 1
+        seg = res.segments[0]
+        assert (seg.start, seg.end, seg.explanations) == (0, 59, [])

@@ -1,8 +1,7 @@
 """Spark GROUPING SETS precompute: DuckDB oracle equivalence, pandas-mirror
-parity, relational support filter, window-function deltas."""
+parity, relational support filter, odd column names."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.precompute import (
     TIME,
@@ -13,7 +12,6 @@ from repro.core.precompute import (
     series_matrix,
     series_matrix_pandas,
     to_matrix,
-    with_object_deltas,
 )
 from repro.core.filtering import support_mask
 from repro.datasets import liquor_like, synthetic
@@ -156,15 +154,25 @@ class TestFilterSpark:
         assert out.filter("__order >= 1").count() == 0
 
 
-class TestWindowDeltas:
-    def test_lag_deltas(self, spark, synth_rel):
-        sdf = spark.createDataFrame(synth_rel)
-        cand = candidate_series(sdf, "T", ["category"], "sales")
-        wd = with_object_deltas(cand, ["category"]).filter(
-            (F.col("__order") == 1) & (F.col("category") == "a1")
-        )
-        pdf = wd.orderBy(TIME).toPandas()
-        vals = pdf[VAL].to_numpy()
-        deltas = pdf["__delta"].to_numpy()
-        assert np.isnan(deltas[0])
-        np.testing.assert_allclose(deltas[1:], np.diff(vals))
+class TestOddColumnNames:
+    def test_space_in_attribute_name(self, spark):
+        """Explain-by names are quoted in the cube SQL and the filter join."""
+        lq = liquor_like.generate(n=10, n_combos=30, seed=5)
+        rel = lq.relation().rename(columns={"BV": "bottle volume"})
+        attrs = ["bottle volume", "P"]
+        sm_p = series_matrix_pandas(rel, "date", attrs, "bottles", beta_max=2)
+        for ratio in (None, 0.02):
+            sm_s = series_matrix(
+                spark.createDataFrame(rel), "date", attrs, "bottles",
+                beta_max=2, filter_ratio=ratio,
+            )
+            keep = (
+                support_mask(sm_p.S, sm_p.total, ratio)
+                if ratio is not None
+                else np.ones(len(sm_p.labels), dtype=bool)
+            )
+            want = {e: row for e, row, k in zip(sm_p.labels, sm_p.S, keep) if k}
+            assert set(sm_s.labels) == set(want)
+            for e, row in zip(sm_s.labels, sm_s.S):
+                np.testing.assert_allclose(row, want[e])
+            np.testing.assert_allclose(sm_s.total, sm_p.total)

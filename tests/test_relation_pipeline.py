@@ -3,7 +3,10 @@ explanations, on the synthetic and real-like generators."""
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import Config, explain_relation, explain_series
+from repro.core.spark_ca import compute_toplists_spark
+from repro.core.toplists import TopLists, _toplist_row, dcg_weights
 from repro.datasets import covid_like, synthetic
 
 
@@ -40,17 +43,31 @@ class TestExplainRelation:
         for g in cv.gt_cuts:
             assert min(abs(c - g) for c in res.cuts) <= 4
 
-    def test_spark_ca_dispatch_equivalence(self, spark):
-        """Forcing the distributed CA path yields identical results."""
+    def test_batched_ca_equivalence(self, spark, monkeypatch):
+        """The batched CA the pipeline runs in the driver gives the same
+        result as the scalar per-segment oracle and as the Spark wrapper."""
         sd = synthetic.generate(n=40, snr_db=45, seed=43)
-        cfg_local = Config(K=3, use_sketch=False, spark_ca_min_segments=10**9)
-        cfg_spark = Config(K=3, use_sketch=False, spark_ca_min_segments=1)
-        a = explain_series(sd.S, sd.labels, list(sd.attrs), sd.total, cfg_local)
-        b = explain_series(
-            sd.S, sd.labels, list(sd.attrs), sd.total, cfg_spark, spark=spark
-        )
-        assert a.cuts == b.cuts
-        assert a.total_variance == pytest.approx(b.total_variance)
+        cfg = Config(K=3, use_sketch=False)
+        args = (sd.S, sd.labels, list(sd.attrs), sd.total, cfg)
+        a = explain_series(*args)
+
+        def scalar(S, space, segments, m, use_gv=True, m_bar0=30):
+            segs = np.asarray(list(segments)).reshape(-1, 2)
+            rows = [_toplist_row(S, space, tuple(g), m, use_gv, m_bar0) for g in segs]
+            ids, gammas, signs = (np.stack(x) for x in zip(*rows))
+            idcg = (gammas * dcg_weights(m)).sum(axis=1)
+            return TopLists(m, segs, ids, gammas, signs, idcg)
+
+        def on_spark(S, space, segments, m, use_gv=True, m_bar0=30):
+            return compute_toplists_spark(spark, S, space, segments, m, use_gv, m_bar0)
+
+        for impl in (scalar, on_spark):
+            monkeypatch.setattr(pipeline, "compute_toplists", impl)
+            b = explain_series(*args)
+            assert a.cuts == b.cuts
+            assert a.total_variance == pytest.approx(b.total_variance)
+            for x, y in zip(a.segments, b.segments):
+                assert x.explanations == y.explanations
 
     def test_timings_include_spark_precompute(self, spark):
         sd = synthetic.generate(n=25, seed=44)
