@@ -18,11 +18,11 @@ from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.cascading import CAPlan
-from repro.core.precompute import VAL, _gcol, grouping_sets_agg, order_col
+from repro.core.precompute import VAL, _gcol, _q, grouping_sets_agg, order_col
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation
 
@@ -42,18 +42,22 @@ def two_relation_diff(
     gcols = [_gcol(a) for a in attrs]
     t = grouping_sets_agg(test_df, attrs, measure_expr, agg, beta_max).alias("t")
     c = grouping_sets_agg(control_df, attrs, measure_expr, agg, beta_max).alias("c")
+
+    def col(side: str, name: str) -> Column:
+        # Quoted, so a dotted attribute name is one column, not a field path.
+        return F.col(f"{side}.{_q(name)}")
+
     cond = reduce(
         lambda a, b: a & b,
-        [F.col(f"t.{a}").eqNullSafe(F.col(f"c.{a}")) for a in attrs]
-        + [F.col(f"t.{g}") == F.col(f"c.{g}") for g in gcols],
+        [col("t", a).eqNullSafe(col("c", a)) for a in attrs]
+        + [col("t", g) == col("c", g) for g in gcols],
     )
     joined = t.join(c, on=cond, how="full_outer")
-    diff = F.coalesce(F.col(f"t.{VAL}"), F.lit(0.0)) - F.coalesce(
-        F.col(f"c.{VAL}"), F.lit(0.0)
+    diff = F.coalesce(col("t", VAL), F.lit(0.0)) - F.coalesce(
+        col("c", VAL), F.lit(0.0)
     )
     sel = (
-        [F.coalesce(F.col(f"t.{a}"), F.col(f"c.{a}")).alias(a) for a in attrs]
-        + [F.coalesce(F.col(f"t.{g}"), F.col(f"c.{g}")).alias(g) for g in gcols]
+        [F.coalesce(col("t", a), col("c", a)).alias(a) for a in [*attrs, *gcols]]
         + [F.abs(diff).alias("gamma"), F.signum(diff).cast("int").alias("tau")]
     )
     out = joined.select(*sel)

@@ -30,6 +30,19 @@ def all_segments(
     return out
 
 
+def segment_cells(
+    positions: Sequence[int], segments: Iterable[Segment]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column of each segment (s, e) in the (P, P) table over the
+    sorted ``positions``: ``s = positions[row]``, ``e = positions[col]``."""
+    pos = np.asarray(positions, dtype=np.int64)
+    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    cells = np.searchsorted(pos, segs)
+    if (cells >= len(pos)).any() or not np.array_equal(pos[cells], segs):
+        raise ValueError("a segment endpoint is not among the positions")
+    return cells[:, 0], cells[:, 1]
+
+
 def build_cost_matrix(
     positions: Sequence[int],
     segments: Iterable[Segment],
@@ -37,11 +50,10 @@ def build_cost_matrix(
 ) -> np.ndarray:
     """(P, P) matrix C[i, j] = cost of segment (positions[i], positions[j]);
     +inf where the segment was not evaluated (invalid or over max length)."""
-    idx = {int(p): i for i, p in enumerate(positions)}
-    P = len(idx)
+    rows, cols = segment_cells(positions, segments)
+    P = len(positions)
     C = np.full((P, P), np.inf)
-    for (s, e), c in zip(segments, costs):
-        C[idx[int(s)], idx[int(e)]] = c
+    C[rows, cols] = costs
     return C
 
 

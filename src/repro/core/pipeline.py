@@ -128,13 +128,17 @@ def explain_series(
 
     When no explanation survives (no candidates, or the filter drops them
     all), the answer is one segment over the whole series with no
-    explanations.
+    explanations. A series shorter than 2 points raises ValueError.
     """
     S = np.asarray(S, dtype=float)
     total = np.asarray(total, dtype=float)
     if not (np.isfinite(S).all() and np.isfinite(total).all()):
         raise ValueError("S and total must be finite (found NaN or inf)")
     n = S.shape[1]
+    if n < 2:
+        raise ValueError(
+            f"explain_series needs a series of at least 2 points, got length {n}"
+        )
     times = list(times) if times is not None else list(range(n))
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -182,7 +186,7 @@ def explain_series(
     # --- module (c): costs, DP, elbow -------------------------------------
     t0 = time.perf_counter()
     costs = costs_for_segments(S_al, obj_tl, cen_tl, [cfg.metric])[cfg.metric]
-    C = build_cost_matrix(positions, segments, costs)
+    C = build_cost_matrix(positions, cen_tl.segments, costs)
     dp: DPResult = dp_segment(C, positions, cfg.k_max)
     K = cfg.K if cfg.K is not None else kneedle(dp.curve())
     K = max(1, min(K, max(k for k in dp.cuts)))

@@ -14,15 +14,23 @@ once, for all eight metric variants of Sec. 4.2.2:
   under-specified; we interpret the S-family as using dist^2 in the variance
   (mean squared deviation instead of mean absolute), documented in DESIGN.md.
 
+Pairwise metrics run in one kernel, :func:`pointwise_costs`, which loops over
+the n-1 atomic objects rather than over centroids: every centroid holding an
+object is one dense block of the (P, P) table over the segments' endpoints,
+so each object costs a few numpy operations whatever the number of
+centroids. The same kernel serves all position pairs (the pipeline), the
+length-bounded segments of sketch phase I and arbitrary segment lists.
+
 The scalar-reference implementation lives in :mod:`repro.core.ndcg`; tests
 assert equality between the two.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kseg import segment_cells
 from repro.core.toplists import TopLists, dcg_weights
 
 Segment = Tuple[int, int]
@@ -45,74 +53,87 @@ def _safe_gather(vec: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ndcg_pair_vectors(
-    S: np.ndarray,
-    Dobj: np.ndarray,
-    obj_tl: TopLists,
-    cen_tl: TopLists,
-    row: int,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """Both NDCG directions between one centroid and every object inside it.
-
-    Returns (n_cen, n_obj, s, e): ``n_cen[x-s]`` = NDCG(centroid, E*(o_x)) and
-    ``n_obj[x-s]`` = NDCG(o_x, E*(centroid)) for objects x in [s, e).
-    """
-    m = cen_tl.m
-    w = dcg_weights(m)
-    s, e = (int(v) for v in cen_tl.segments[row])
-    d_cen = S[:, e] - S[:, s]
-
-    # Direction 1: query = centroid, docs = each object's own top list.
-    obj_ids = obj_tl.ids[s:e]  # (len, m)
-    g = np.abs(_safe_gather(d_cen, obj_ids))
-    sign_on_cen = np.sign(_safe_gather(d_cen, obj_ids))
-    rect = (sign_on_cen == obj_tl.signs[s:e]) & (obj_ids >= 0)
-    dcg_cen = ((g * rect) * w).sum(axis=1)
-    idcg_cen = float(cen_tl.idcg[row])
-    n_cen = (
-        np.ones(e - s) if idcg_cen <= 0.0 else np.clip(dcg_cen / idcg_cen, 0.0, 1.0)
-    )
-
-    # Direction 2: query = each object, docs = the centroid's top list.
-    cen_ids = cen_tl.ids[row]  # (m,)
-    safe = np.where(cen_ids >= 0, cen_ids, 0)
-    d_at = Dobj[safe][:, s:e]  # (m, len)
-    d_at[cen_ids < 0] = 0.0
-    g2 = np.abs(d_at)
-    rect2 = (np.sign(d_at) == cen_tl.signs[row][:, None]) & (cen_ids >= 0)[:, None]
-    dcg_obj = w @ (g2 * rect2)
-    idcg_obj = obj_tl.idcg[s:e]
-    n_obj = np.where(
-        idcg_obj > 0.0,
-        np.clip(dcg_obj / np.where(idcg_obj > 0.0, idcg_obj, 1.0), 0.0, 1.0),
-        1.0,
-    )
-    return n_cen, n_obj, s, e
-
-
 def pointwise_costs(
     S: np.ndarray,
     obj_tl: TopLists,
     cen_tl: TopLists,
     metrics: Sequence[str] = ("tse",),
 ) -> Dict[str, np.ndarray]:
-    """``|P|*var(P)`` per centroid row of ``cen_tl`` for each pairwise metric."""
+    """``|P|*var(P)`` per centroid row of ``cen_tl`` for each pairwise metric.
+
+    One dense pass per atomic object x: the centroids containing x are the
+    position pairs (i, j) with ``pos[i] <= x < pos[j]`` (and no longer than
+    the longest segment of ``cen_tl``), a contiguous block of the (P, P)
+    table over the segments' endpoints. Both NDCG directions are computed for
+    the whole block and ``dist`` (``dist**2`` for the S-metrics) is added into
+    a (P, P) accumulator, read out in ``cen_tl.segments`` order. Block cells
+    that are not segments are computed too and never read.
+
+    Relevance is rectified as ``max(tau * delta, 0)``: ``|delta|`` when the
+    effect agrees with tau, else 0; a -1 (padding) id gathers an appended
+    zero row, so it adds nothing.
+    """
     bad = set(metrics) - set(PAIRWISE_METRICS)
     if bad:
         raise ValueError(f"not pairwise metrics: {bad}")
-    Dobj = object_deltas(S)
-    out = {mt: np.zeros(len(cen_tl.segments)) for mt in metrics}
-    for row in range(len(cen_tl.segments)):
-        n_cen, n_obj, s, e = _ndcg_pair_vectors(S, Dobj, obj_tl, cen_tl, row)
+    segs = cen_tl.segments
+    if not len(segs):
+        return {mt: np.zeros(0) for mt in metrics}
+    pos = np.unique(segs)
+    rows, cols = segment_cells(pos, segs)
+    span = int((segs[:, 1] - segs[:, 0]).max())
+    P, m = len(pos), cen_tl.m
+    w = dcg_weights(m)
+
+    # Centroid lists as (P, P, m) tables; cells that are not segments keep
+    # id -1 and IDCG 0.
+    cen_ids = np.full((P, P, m), -1, dtype=np.intp)
+    cen_ids[rows, cols] = cen_tl.ids
+    cen_signs = np.zeros((P, P, m), dtype=np.int8)
+    cen_signs[rows, cols] = cen_tl.signs
+    cen_idcg = np.zeros((P, P))
+    cen_idcg[rows, cols] = cen_tl.idcg
+
+    zero = np.zeros((1, S.shape[1]))
+    S_pos = np.vstack([S, zero])[:, pos]  # (nodes + 1, P)
+    D_obj = np.vstack([object_deltas(S), zero[:, 1:]]).T  # (n - 1, nodes + 1)
+
+    # Object x's block: start rows [lo, mid), end columns [mid, hi).
+    xs = np.arange(pos[0], pos[-1])
+    los = np.searchsorted(pos, xs + 1 - span)
+    mids = np.searchsorted(pos, xs, side="right")
+    his = np.searchsorted(pos, xs + span, side="right")
+
+    acc = {mt: np.zeros((P, P)) for mt in metrics}
+    for x, lo, mid, hi in zip(xs, los, mids, his):
+        block = (slice(lo, mid), slice(mid, hi))
+        # Direction 1, NDCG(centroid, E*(o_x)): x's list on every block delta.
+        A = S_pos[obj_tl.ids[x]]  # (m, P)
+        delta = A[:, None, mid:hi] - A[:, lo:mid, None]  # (m, I, J)
+        rel = np.maximum(delta * obj_tl.signs[x][:, None, None], 0.0)
+        dcg = np.tensordot(w, rel, axes=1)
+        idcg = cen_idcg[block]
+        n_cen = np.ones_like(dcg)
+        flat = idcg <= 0.0
+        n_cen[~flat] = np.clip(dcg[~flat] / idcg[~flat], 0.0, 1.0)
+
+        # Direction 2, NDCG(o_x, E*(centroid)): every block list on x's deltas.
+        idcg_x = float(obj_tl.idcg[x])
+        if idcg_x > 0.0:
+            rel = np.maximum(D_obj[x][cen_ids[block]] * cen_signs[block], 0.0)
+            n_obj = np.clip((rel @ w) / idcg_x, 0.0, 1.0)
+        else:
+            n_obj = np.ones_like(dcg)
+
         base = {
             "tse": 1.0 - (n_cen + n_obj) / 2.0,
             "dist1": 1.0 - n_cen,
             "dist2": 1.0 - n_obj,
         }
         for mt in metrics:
-            d = base[mt.lstrip("S")] if mt.startswith("S") else base[mt]
-            out[mt][row] = float((d * d).sum() if mt.startswith("S") else d.sum())
-    return out
+            d = base[mt.lstrip("S")]
+            acc[mt][block] += d * d if mt.startswith("S") else d
+    return {mt: acc[mt][rows, cols] for mt in metrics}
 
 
 def object_pair_dist(

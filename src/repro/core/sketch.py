@@ -48,7 +48,7 @@ def select_sketch(
     segs = all_segments(positions, max_len=L)
     cen_tl = compute_toplists(S, space, segs, m, use_gv=use_gv)
     costs = costs_for_segments(S, obj_tl, cen_tl, [metric])[metric]
-    C = build_cost_matrix(positions, segs, costs)
+    C = build_cost_matrix(positions, cen_tl.segments, costs)
     res = dp_segment(C, positions, k_max=size)
     # The |S|-segmentation's cuts are the sketch; if the constrained DP could
     # not reach exactly |S| segments (short series), take the largest feasible.

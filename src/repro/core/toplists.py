@@ -10,8 +10,8 @@ per-segment path as the test oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,16 +45,15 @@ class TopLists:
     gammas: np.ndarray  # (R, m) float
     signs: np.ndarray  # (R, m) int8 (0 on padding)
     idcg: np.ndarray  # (R,) float
-    index: Dict[Segment, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {
-                (int(s), int(e)): r for r, (s, e) in enumerate(self.segments)
-            }
 
     def row(self, seg: Segment) -> int:
-        return self.index[(int(seg[0]), int(seg[1]))]
+        """Row of segment ``seg``; KeyError when it has none."""
+        hit = np.flatnonzero(
+            (self.segments[:, 0] == seg[0]) & (self.segments[:, 1] == seg[1])
+        )
+        if not len(hit):
+            raise KeyError(tuple(seg))
+        return int(hit[0])
 
     def top_ids(self, seg: Segment) -> List[int]:
         r = self.row(seg)

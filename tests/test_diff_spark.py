@@ -96,6 +96,45 @@ class TestDiffOracle:
         assert overall["tau"] == (1 if expected > 0 else -1)
 
 
+    def test_dotted_column_names(self, spark):
+        """Attribute names with a dot (``store.city``) are column names, not
+        struct-field paths: same rows as the data under plain names."""
+        pdf = pd.DataFrame(
+            {
+                "store.city": list("xxyyxz"),
+                "b": [1, 2, 1, 2, 1, 3],
+                "m": [10.0, 5.0, 2.0, 8.0, 1.0, 4.0],
+            }
+        )
+        plain = pdf.rename(columns={"store.city": "city"})
+
+        def diff(df, attrs):
+            out = two_relation_diff(
+                spark.createDataFrame(df.iloc[2:]),
+                spark.createDataFrame(df.iloc[:3]),
+                attrs,
+                "m",
+                "sum",
+                beta_max=2,
+            ).toPandas()
+            out.columns = ["a", "b", "ga", "gb", "gamma", "tau", "order"]
+            return out.sort_values(["order", "a", "b"], na_position="first")
+
+        got = diff(pdf, ["store.city", "b"])
+        want = diff(plain, ["city", "b"])
+        pd.testing.assert_frame_equal(
+            got.reset_index(drop=True), want.reset_index(drop=True)
+        )
+        top = topm_for_relations(
+            spark.createDataFrame(pdf.iloc[2:]),
+            spark.createDataFrame(pdf.iloc[:3]),
+            ["store.city", "b"],
+            "m",
+            m=2,
+        )
+        assert top and all(e.preds[0][0] in ("store.city", "b") for e, _, _ in top)
+
+
 class TestTopM:
     def test_topm_matches_manual(self, spark, rels):
         test_pdf, ctrl_pdf = rels

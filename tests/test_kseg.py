@@ -9,6 +9,7 @@ from repro.core.kseg import (
     build_cost_matrix,
     dp_segment,
     objective_of_cuts,
+    segment_cells,
     segments_of_cuts,
 )
 
@@ -103,6 +104,24 @@ def test_curve_monotone_for_subadditive_costs():
     res = dp_segment(C, list(range(n)), k_max=8)
     curve = res.curve()
     assert all(curve[i] >= curve[i + 1] - 1e-9 for i in range(len(curve) - 1))
+
+
+def test_cost_matrix_scatter():
+    positions = [0, 3, 7, 11]
+    segs = all_segments(positions, max_len=7)
+    C = build_cost_matrix(positions, segs, np.arange(len(segs), dtype=float))
+    expected = np.full((4, 4), np.inf)
+    for c, (s, e) in enumerate(segs):
+        expected[positions.index(s), positions.index(e)] = c
+    assert np.array_equal(C, expected)
+    assert segment_cells(positions, [])[0].shape == (0,)
+
+
+def test_cost_matrix_rejects_unknown_endpoint():
+    with pytest.raises(ValueError, match="positions"):
+        build_cost_matrix([0, 3, 7], [(0, 3), (3, 5)], np.ones(2))
+    with pytest.raises(ValueError, match="positions"):
+        build_cost_matrix([0, 3, 7], [(3, 9)], np.ones(1))
 
 
 def test_single_position_pair_rejected():

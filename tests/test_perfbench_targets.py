@@ -47,6 +47,7 @@ def test_pipeline_reaches_traced_layers():
         "toplists.compute",
         "sketch.select",
         "sketch.phase1_ca",
+        "sketch.phase1_segcost",
         "segcost.costs",
         "kseg.dp",
         "elbow.kneedle",
@@ -55,3 +56,7 @@ def test_pipeline_reaches_traced_layers():
     assert metrics["toplists.object_segments"] == sd.S.shape[1] - 1
     assert metrics["toplists.phase2_local_s"] > 0
     assert metrics["cascading.calls"] == 0  # CA runs batched, not per segment
+    P = len(res.positions)
+    assert P < sd.S.shape[1]  # the sketch shrank phase II
+    assert metrics["segcost.centroids"] == P * (P - 1) // 2
+    assert metrics["sketch.phase1_segcost_s"] > 0

@@ -1,4 +1,6 @@
 """Matrix-path end-to-end pipeline: recovery of planted segmentations."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,89 @@ class TestDegenerateInput:
         assert len(res.segments) == 1
         seg = res.segments[0]
         assert (seg.start, seg.end, seg.explanations) == (0, 59, [])
+
+    def test_length_one_rejected(self):
+        S, labels, total = _planted()
+        with pytest.raises(ValueError, match="length 1"):
+            explain_series(S[:, :1], labels, ["cat"], total[:1], Config())
+
+    @pytest.mark.parametrize(
+        "cfg", [Config(), Config(use_sketch=False)], ids=["sketch", "exact"]
+    )
+    def test_length_two(self, cfg):
+        S, labels, total = _planted()
+        res = explain_series(S[:, :2], labels, ["cat"], total[:2], cfg)
+        assert res.K == 1 and res.cuts == []
+        assert [(g.start, g.end) for g in res.segments] == [(0, 1)]
+        assert res.segments[0].explanations
+
+    @pytest.mark.parametrize(
+        "cfg", [Config(), Config(use_sketch=False)], ids=["sketch", "exact"]
+    )
+    def test_length_three(self, cfg):
+        S, labels, total = _planted()
+        res = explain_series(S[:, :3], labels, ["cat"], total[:3], cfg)
+        assert 1 <= res.K <= 2 and len(res.cuts) == res.K - 1
+        assert all(0 < c < 2 for c in res.cuts)
+        assert res.segments[0].start == 0 and res.segments[-1].end == 2
+
+
+METAMORPHIC_CONFIGS = pytest.mark.parametrize(
+    "cfg", [Config(), Config(use_sketch=False)], ids=["default", "exact"]
+)
+
+
+def _random_series(seed, n=80, eps=8, integer=False):
+    """Random walks per label; float draws are tie-free with probability 1."""
+    rng = np.random.default_rng(seed)
+    steps = (
+        rng.integers(-50, 51, (eps, n)).astype(float)
+        if integer
+        else rng.normal(0.0, 20.0, (eps, n))
+    )
+    S = 1000.0 + steps.cumsum(axis=1)
+    labels = [Explanation.of(cat=f"c{i}") for i in range(eps)]
+    return S, labels, S.sum(axis=0)
+
+
+def _lists(res):
+    return [(g.start, g.end, g.explanations) for g in res.segments]
+
+
+class TestMetamorphic:
+    """Transformations of the input that must not change the answer."""
+
+    @METAMORPHIC_CONFIGS
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scaling_by_power_of_two(self, cfg, seed):
+        S, labels, total = _random_series(seed)
+        a = explain_series(S, labels, ["cat"], total, cfg)
+        b = explain_series(4.0 * S, labels, ["cat"], 4.0 * total, cfg)
+        assert (a.K, a.cuts, a.positions) == (b.K, b.cuts, b.positions)
+        assert a.total_variance == b.total_variance
+        scaled = [
+            (s, e, [(lb, tau, 4.0 * g) for lb, tau, g in ex])
+            for s, e, ex in _lists(a)
+        ]
+        assert _lists(b) == scaled
+
+    @METAMORPHIC_CONFIGS
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_label_row_permutation(self, cfg, seed):
+        S, labels, total = _random_series(seed)
+        perm = np.random.default_rng(seed).permutation(len(labels))
+        a = explain_series(S, labels, ["cat"], total, cfg)
+        b = explain_series(S[perm], [labels[i] for i in perm], ["cat"], total, cfg)
+        assert (a.K, a.cuts) == (b.K, b.cuts)
+
+    @METAMORPHIC_CONFIGS
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_per_row_constant_without_filter(self, cfg, seed):
+        # Integer-valued series: adding integer constants keeps every delta
+        # exact, so even tied gammas stay tied.
+        S, labels, total = _random_series(seed, integer=True)
+        shift = np.random.default_rng(seed).integers(-500, 5000, (len(labels), 1))
+        cfg = dataclasses.replace(cfg, use_filter=False)
+        a = explain_series(S, labels, ["cat"], total, cfg)
+        b = explain_series(S + shift, labels, ["cat"], total + shift.sum(), cfg)
+        assert (a.K, a.cuts) == (b.K, b.cuts)

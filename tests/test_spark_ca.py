@@ -77,6 +77,18 @@ def test_no_segments():
     S, space, _ = _instance()
     tl = compute_toplists(S, space, [], 3)
     assert tl.ids.shape == (0, 3) and tl.idcg.shape == (0,)
+    with pytest.raises(KeyError):
+        tl.row((0, 1))
+
+
+def test_row_lookup():
+    S, space, segs = _instance(n=6)
+    tl = compute_toplists(S, space, segs, 3)
+    for r, seg in enumerate(segs):
+        assert tl.row(seg) == r
+        assert tl.row(np.asarray(seg)) == r
+    with pytest.raises(KeyError):
+        tl.row((2, 2))
 
 
 @pytest.mark.parametrize("use_gv", [False, True])
