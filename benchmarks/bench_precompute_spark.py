@@ -1,9 +1,9 @@
-"""Spark precompute benchmark at SF = 0.1: the join-aggregation-sort path.
+"""Spark precompute benchmark at SF = 0.1: the join-aggregation-pivot path.
 
 lineitem ⋈ part (shuffle join — broadcast disabled in conftest), GROUPING
-SETS cube over (l_returnflag, l_linestatus, p_brand) per month, ordered by
-time: the relational stage TSExplain's module (a) runs on a data-cube-less
-deployment.
+SETS cube over (l_returnflag, l_linestatus, p_brand) per month, pivoted to
+a matrix sorted by time: the relational stage TSExplain's module (a) runs on
+a data-cube-less deployment.
 """
 import pytest
 from pyspark.sql import functions as F

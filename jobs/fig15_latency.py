@@ -2,7 +2,8 @@
 
 Variants: Vanilla (no optimization), w-filter, O1 (filter + guess-and-verify),
 O2 (filter + sketching), O1+O2 (everything). Per-variant stage timings
-(precompute / CA / k-seg) are reported so the bottleneck shift is visible.
+(precompute / CA / sketch phase I / k-seg) are reported so the bottleneck
+shift is visible.
 Expected shape: the CA stage dominates on the large-epsilon Liquor workload
 and O1/O2 collapse it; absolute times are not comparable to the paper's C++.
 
@@ -42,6 +43,7 @@ def run(spark=None, small: bool = False) -> pd.DataFrame:
                     "variant": variant,
                     "precompute_s": round(res.timings["precompute"], 3),
                     "ca_s": round(res.timings["ca"], 3),
+                    "sketch_s": round(res.timings["sketch"], 3),
                     "kseg_s": round(res.timings["kseg"], 3),
                     "total_s": round(res.timings["total"], 3),
                     "K": res.K,

@@ -36,14 +36,13 @@ from repro.eval.metrics import (  # noqa: E402
 def metric_cost_tables(sd: synthetic.SynthData):
     """Cost dict per metric for every segment of one dataset."""
     space = ExplanationSpace(sd.labels, sd.attrs)
-    S_al = np.zeros((space.n_nodes, sd.n))
-    for r, e in enumerate(sd.labels):
-        S_al[space.id_of[e]] = sd.S[r]
+    S_al = space.align(sd.S, sd.labels)
     segs = all_segments(range(sd.n))
     obj_tl = compute_toplists(S_al, space, object_segments(sd.n), m=3, use_gv=False)
     cen_tl = compute_toplists(S_al, space, segs, m=3, use_gv=False)
     costs = costs_for_segments(S_al, obj_tl, cen_tl, ALL_METRICS)
-    return {mt: dict(zip(segs, arr)) for mt, arr in costs.items()}
+    keys = list(map(tuple, segs.tolist()))
+    return {mt: dict(zip(keys, arr)) for mt, arr in costs.items()}
 
 
 def run(spark=None, n_datasets=None, n_samples=None) -> pd.DataFrame:

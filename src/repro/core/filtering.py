@@ -2,8 +2,9 @@
 
 An explanation whose series never reaches ``ratio`` (default 0.001) of the
 overall aggregated series at any timestamp has negligible support and is
-dropped before the expensive stages. Matrix form here; the Spark relational
-form lives in :mod:`repro.core.precompute`.
+dropped before the expensive stages. It runs on the pivoted series matrix,
+after the cube is collected (:mod:`repro.core.precompute`); this is the only
+implementation of the filter.
 """
 from __future__ import annotations
 

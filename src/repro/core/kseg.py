@@ -17,17 +17,23 @@ Segment = Tuple[int, int]
 
 def all_segments(
     positions: Sequence[int], max_len: Optional[int] = None
-) -> List[Segment]:
-    """Every (s, e) pair of allowed positions with s < e (optionally bounded
-    segment length e - s <= max_len, for sketch phase 1)."""
-    pos = list(positions)
-    out = []
-    for i, s in enumerate(pos):
-        for e in pos[i + 1 :]:
-            if max_len is not None and e - s > max_len:
-                break
-            out.append((s, e))
-    return out
+) -> np.ndarray:
+    """(R, 2) int64 array of every (s, e) pair of the sorted allowed
+    ``positions`` with s < e, in row-major order (optionally bounded segment
+    length e - s <= max_len, for sketch phase 1)."""
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1)
+    P = len(pos)
+    first = np.arange(P)
+    # Index one past the last allowed end of each start.
+    if max_len is None:
+        stop = np.full(P, P)
+    else:
+        stop = np.searchsorted(pos, pos + max_len, "right")
+    count = np.maximum(stop - first - 1, 0)
+    start = np.repeat(first, count)
+    # Within each start's run the ends are start + 1, start + 2, ...
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.column_stack([pos[start], pos[start + 1 + rank]])
 
 
 def segment_cells(

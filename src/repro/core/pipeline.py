@@ -14,9 +14,10 @@ batched DP pass per chunk of segments (:mod:`repro.core.cascading`), so no
 stage ships per-segment work to executors.
 
 Stage timings are recorded for the latency tables (Fig. 15/16/17):
-``precompute`` (cube/pivot/filter/space build), ``ca`` (all Cascading-Analysts
-top-list computations, including sketch phase I), ``kseg`` (cost matrices, DP,
-elbow).
+``precompute`` (cube/pivot/filter/space build), ``ca`` (the Cascading-Analysts
+top lists of the objects and of the phase-II segments), ``sketch`` (sketch
+phase I: its own top lists, costs and DP; 0 when the sketch is off),
+``kseg`` (cost matrices, DP, elbow).
 """
 from __future__ import annotations
 
@@ -28,7 +29,14 @@ import numpy as np
 
 from repro.core.elbow import kneedle
 from repro.core.filtering import DEFAULT_RATIO, support_mask
-from repro.core.kseg import DPResult, all_segments, build_cost_matrix, dp_segment
+from repro.core.kseg import (
+    DPResult,
+    Segment,
+    all_segments,
+    build_cost_matrix,
+    dp_segment,
+    segments_of_cuts,
+)
 from repro.core.segcost import ALL_METRICS, costs_for_segments
 from repro.core.sketch import select_sketch
 from repro.core.space import ExplanationSpace
@@ -49,14 +57,11 @@ class Config:
     use_filter: bool = True
     filter_ratio: float = DEFAULT_RATIO
     use_gv: bool = True
-    gv_m_bar0: int = 30
     use_sketch: bool = True
-    sketch_L: Optional[int] = None
-    sketch_size: Optional[int] = None
     smooth_window: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("m", "beta_max", "k_max", "gv_m_bar0"):
+        for name in ("m", "beta_max", "k_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"Config.{name} must be >= 1, got {getattr(self, name)}")
         if self.K is not None and self.K < 1:
@@ -105,14 +110,20 @@ def moving_average(S: np.ndarray, window: int) -> np.ndarray:
     return out[:, : S.shape[1]]
 
 
-def _aligned_matrix(
-    S: np.ndarray, labels: Sequence[Explanation], space: ExplanationSpace
-) -> np.ndarray:
-    """One row of the series matrix per space node; closure-only nodes get a
-    zero row (they are non-takeable, their gamma is never used)."""
-    out = np.zeros((space.n_nodes, S.shape[1]))
-    for row, e in enumerate(labels):
-        out[space.id_of[e]] = S[row]
+def segment_results(
+    space: ExplanationSpace, tl: TopLists, segments: Sequence[Segment], times: Sequence
+) -> List[SegmentResult]:
+    """One SegmentResult per (s, e) in ``segments``, with its top list from
+    ``tl`` as (label, sign, gamma) triples."""
+    out: List[SegmentResult] = []
+    for s, e in segments:
+        row = tl.row((s, e))
+        expl = [
+            (space.explanations[int(j)].label, int(sg), float(g))
+            for j, g, sg in zip(tl.ids[row], tl.gammas[row], tl.signs[row])
+            if j >= 0
+        ]
+        out.append(SegmentResult(s, e, times[s], times[e], expl))
     return out
 
 
@@ -154,34 +165,27 @@ def explain_series(
         labels = [e for e, k in zip(labels, mask) if k]
     filtered_epsilon = len(labels)
     space = ExplanationSpace(labels, attrs)
-    S_al = _aligned_matrix(S, labels, space)
+    S_al = space.align(S, labels)
     timings["precompute"] = time.perf_counter() - t0
     if not space.n_nodes:
         return _unexplained(n, epsilon, times, timings)
 
     # --- module (b): top-explanations per segment -------------------------
     t0 = time.perf_counter()
-    obj_tl = compute_toplists(
-        S_al, space, object_segments(n), cfg.m, cfg.use_gv, cfg.gv_m_bar0
-    )
+    obj_tl = compute_toplists(S_al, space, object_segments(n), cfg.m, cfg.use_gv)
+    timings["ca"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     if cfg.use_sketch:
         positions = select_sketch(
-            S_al,
-            space,
-            obj_tl,
-            cfg.m,
-            metric=cfg.metric,
-            use_gv=cfg.use_gv,
-            L=cfg.sketch_L,
-            size=cfg.sketch_size,
+            S_al, space, obj_tl, cfg.m, metric=cfg.metric, use_gv=cfg.use_gv
         )
     else:
         positions = list(range(n))
+    timings["sketch"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     segments = all_segments(positions)
-    cen_tl = compute_toplists(
-        S_al, space, segments, cfg.m, cfg.use_gv, cfg.gv_m_bar0
-    )
-    timings["ca"] = time.perf_counter() - t0
+    cen_tl = compute_toplists(S_al, space, segments, cfg.m, cfg.use_gv)
+    timings["ca"] += time.perf_counter() - t0
 
     # --- module (c): costs, DP, elbow -------------------------------------
     t0 = time.perf_counter()
@@ -194,22 +198,6 @@ def explain_series(
     timings["kseg"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
 
-    bounds = [0] + cuts + [n - 1]
-    seg_results: List[SegmentResult] = []
-    for i in range(len(bounds) - 1):
-        s, e = bounds[i], bounds[i + 1]
-        row = cen_tl.row((s, e))
-        expl = [
-            (space.explanations[int(j)].label, int(sg), float(g))
-            for j, g, sg in zip(cen_tl.ids[row], cen_tl.gammas[row], cen_tl.signs[row])
-            if j >= 0
-        ]
-        seg_results.append(
-            SegmentResult(
-                start=s, end=e, start_t=times[s], end_t=times[e], explanations=expl
-            )
-        )
-
     return ExplainResult(
         n=n,
         epsilon=epsilon,
@@ -218,7 +206,7 @@ def explain_series(
         cuts=cuts,
         total_variance=float(dp.totals[K]),
         curve=dp.curve(),
-        segments=seg_results,
+        segments=segment_results(space, cen_tl, segments_of_cuts(cuts, n), times),
         timings=timings,
         positions=[int(p) for p in positions],
     )
@@ -228,7 +216,7 @@ def _unexplained(
     n: int, epsilon: int, times: List, timings: Dict[str, float]
 ) -> ExplainResult:
     """The answer for an empty explanation space: K=1, no explanations."""
-    timings.update(ca=0.0, kseg=0.0)
+    timings.update(ca=0.0, sketch=0.0, kseg=0.0)
     timings["total"] = sum(timings.values())
     return ExplainResult(
         n=n,

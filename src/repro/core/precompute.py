@@ -1,33 +1,36 @@
-"""Pipeline module (a): per-explanation aggregated series via Spark SQL.
+"""Pipeline module (a): per-explanation aggregated series.
 
 The data cube the paper assumes ("data cube is typically maintained in
-memory") is computed here as one Catalyst aggregation:
+memory") is computed on Spark as one Catalyst aggregation,
+``DataFrame.groupingSets``, the DataFrame form of
 
     SELECT T, A_1..A_k, grouping(A_i).., f(M)
     FROM R GROUP BY GROUPING SETS ((T), (T,A_1), .., (T,A_i,A_j), ..)
 
 with one grouping set per attribute subset of size 0..beta_max. The size-0
 set yields the overall aggregated time series ts(R); every other row belongs
-to one candidate explanation's series ts(sigma_E R). The result is pivoted to
-an eps x n matrix for the downstream numpy/DP stages.
+to one candidate explanation's series ts(sigma_E R).
 
-Also hosts the relational form of the support filter. Explain-by and time
-column names are backtick-quoted wherever they are spliced into SQL or column
-references, so names with spaces or dots work.
+Both engines end in the same long-format cube rows (columns ``TIME``, the
+attributes, their grouping flags and ``VAL``): Spark's :func:`candidate_series`
+and the pandas aggregation in :func:`series_matrix_pandas`. One pivot,
+:func:`to_matrix`, turns those rows into the eps x n :class:`SeriesMatrix` for
+the downstream numpy/DP stages, so both engines give the same labels in the
+same order.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import IntegralType
 
-from repro.core.filtering import DEFAULT_RATIO
 from repro.core.types import Explanation
 
 VAL = "__val"
@@ -39,7 +42,7 @@ def _gcol(attr: str) -> str:
 
 
 def _q(name: str) -> str:
-    """Backtick-quoted identifier for Spark SQL and column references."""
+    """Backtick-quoted identifier for Spark column references."""
     return "`" + name.replace("`", "``") + "`"
 
 
@@ -62,32 +65,27 @@ def grouping_sets_agg(
     """One aggregation row per (grouping set, group) — the candidate cube.
 
     Output columns: [TIME if time_col] + attrs + grouping flags + VAL. The
-    grouping flags distinguish "attribute not in this grouping set" (1) from a
-    genuine NULL value (0 with null), so explanations over NULL-able data stay
-    well-defined.
+    grouping flag of an attribute is 1 when the attribute is not in the row's
+    grouping set (its value is then NULL) and 0 when it is. A genuine NULL
+    value therefore shows as flag 0 with a NULL value; how the pivot treats
+    such rows is described in :func:`to_matrix`.
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r} (decomposable only)")
-    view = f"__repro_gs_{abs(hash((tuple(attrs), measure_expr, agg, time_col))) % 10**8}"
-    df.createOrReplaceTempView(view)
     prefix = [time_col] if time_col else []
-    sets = ", ".join(
-        "(" + ", ".join(_q(c) for c in list(prefix) + list(sub)) + ")"
+    sets = [
+        [F.col(_q(c)) for c in [*prefix, *sub]]
         for sub in _attr_subsets(attrs, beta_max)
+    ]
+    measure = (F.sum if agg == "sum" else F.count)(F.expr(measure_expr))
+    cube = df.groupingSets(sets, *[F.col(_q(c)) for c in [*prefix, *attrs]]).agg(
+        *[F.grouping(F.col(_q(a))).alias(_gcol(a)) for a in attrs],
+        measure.alias(VAL),
     )
-    select = (
-        ([f"{_q(time_col)} AS {TIME}"] if time_col else [])
-        + [_q(a) for a in attrs]
-        + [f"grouping({_q(a)}) AS {_q(_gcol(a))}" for a in attrs]
-        + [f"{agg}({measure_expr}) AS {VAL}"]
+    return cube.select(
+        *([F.col(_q(time_col)).alias(TIME)] if time_col else []),
+        *[F.col(_q(c)) for c in [*attrs, *map(_gcol, attrs), VAL]],
     )
-    sql = (
-        f"SELECT {', '.join(select)} FROM {view} "
-        f"GROUP BY GROUPING SETS ({sets})"
-    )
-    out = df.sparkSession.sql(sql)
-    df.sparkSession.catalog.dropTempView(view)
-    return out
 
 
 def order_col(attrs: Sequence[str]) -> Column:
@@ -105,44 +103,12 @@ def candidate_series(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> DataFrame:
-    """Per-explanation + overall aggregated time series, sorted by time."""
+    """Per-explanation + overall aggregated time series, in no particular
+    row order (:func:`to_matrix` orders times and labels)."""
     cube = grouping_sets_agg(
         df, attrs, measure_expr, agg, beta_max, time_col=time_col
     )
-    return cube.withColumn("__order", order_col(attrs)).orderBy(TIME)
-
-
-def filter_support_spark(
-    cand: DataFrame, attrs: Sequence[str], ratio: float = DEFAULT_RATIO
-) -> DataFrame:
-    """Relational support filter (Sec. 7.5.1): keep an explanation iff some
-    point of its series reaches ``ratio`` of the overall series. Overall rows
-    (order 0) are always kept."""
-    gcols = [_gcol(a) for a in attrs]
-    total = (
-        cand.filter(F.col("__order") == 0)
-        .select(F.col(TIME), F.col(VAL).alias("__total"))
-    )
-    slices = cand.filter(F.col("__order") >= 1)
-    ratio_col = F.abs(F.col(VAL)) / F.greatest(
-        F.abs(F.col("__total")), F.lit(1e-300)
-    )
-    keep = (
-        slices.join(total, on=TIME)
-        .groupBy(*[F.col(_q(c)) for c in [*attrs, *gcols]])
-        .agg(F.max(ratio_col).alias("__maxratio"))
-        .filter((F.col("__maxratio") >= ratio))
-        .drop("__maxratio")
-        .alias("k")
-    )
-    sl = slices.alias("s")
-    cond = reduce(
-        lambda a, b: a & b,
-        [F.col(f"s.{_q(c)}").eqNullSafe(F.col(f"k.{_q(c)}")) for c in attrs]
-        + [F.col(f"s.{_q(c)}") == F.col(f"k.{_q(c)}") for c in gcols],
-    )
-    kept = sl.join(keep, on=cond, how="leftsemi")
-    return kept.unionByName(cand.filter(F.col("__order") == 0))
+    return cube.withColumn("__order", order_col(attrs))
 
 
 @dataclass
@@ -165,40 +131,56 @@ class SeriesMatrix:
 
 
 def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
-    """Pivot collected cube rows (pandas) into a SeriesMatrix.
+    """Pivot long-format cube rows (columns TIME, attrs, grouping flags, VAL)
+    into a SeriesMatrix, in one scatter.
 
-    Missing (explanation, t) combinations mean "no rows in that slice at t"
-    and become 0, which is exact for SUM/COUNT.
+    Labels are ordered by grouping-flag pattern ascending (flags in ``attrs``
+    order, so higher-order explanations come first), then by attribute values
+    ascending. Missing (explanation, t) combinations mean "no rows in that
+    slice at t" and become 0, which is exact for SUM/COUNT.
+
+    NULL rule: a row whose explain-by value is NULL (flag 0, value missing)
+    yields no ``attr=NULL`` explanation and is dropped here. The relation rows
+    behind it still count in the overall series and in every explanation that
+    does not constrain that attribute. A row with a NULL time belongs to no
+    point of the series and is dropped too.
     """
-    gcols = [_gcol(a) for a in attrs]
-    times = sorted(pdf[TIME].unique())
-    t_index = {t: i for i, t in enumerate(times)}
+    k = len(attrs)
+    t_code, times = pd.factorize(pdf[TIME], sort=True)
     n = len(times)
+    flags = pdf[[_gcol(a) for a in attrs]].to_numpy(dtype=np.int64)
+    codes = np.empty((len(pdf), k), dtype=np.int64)
+    uniques = []
+    for i, a in enumerate(attrs):
+        codes[:, i], u = pd.factorize(pdf[a], sort=True)
+        uniques.append(u.tolist())
+    val = pdf[VAL].to_numpy(dtype=float)
 
-    is_total = (
-        reduce(lambda a, b: a & b, [pdf[g] == 1 for g in gcols])
-        if gcols
-        else pd.Series(True, index=pdf.index)
-    )
+    pattern = flags @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    timed = t_code >= 0
+    is_total = timed & (pattern == (1 << k) - 1)
     total = np.zeros(n)
-    trows = pdf[is_total]
-    total[[t_index[t] for t in trows[TIME]]] = trows[VAL].to_numpy(dtype=float)
+    total[t_code[is_total]] = val[is_total]
 
-    labels: List[Explanation] = []
-    mats: List[np.ndarray] = []
-    cand = pdf[~is_total]
-    for pattern, sub in cand.groupby(gcols, sort=True):
-        if not isinstance(pattern, tuple):
-            pattern = (pattern,)
-        sel = [a for a, g in zip(attrs, pattern) if g == 0]
-        piv = sub.pivot_table(
-            index=sel, columns=TIME, values=VAL, aggfunc="first", fill_value=0.0
-        ).reindex(columns=times, fill_value=0.0)
-        for key in piv.index:
-            key_t = key if isinstance(key, tuple) else (key,)
-            labels.append(Explanation(tuple(zip(sel, key_t))))
-        mats.append(piv.to_numpy(dtype=float))
-    S = np.vstack(mats) if mats else np.zeros((0, n))
+    # One integer key per row, ordered like (pattern, value codes in attrs
+    # order): mixed radix over code + 1, where code -1 means the attribute is
+    # not in the row's grouping set. A key about to overflow is re-ranked.
+    key, radix = pattern, 1 << k
+    for i, u in enumerate(uniques):
+        base = len(u) + 1
+        if radix * base >= 1 << 63:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            radix = int(key.max(initial=0)) + 1
+        key, radix = key * base + codes[:, i] + 1, radix * base
+    null = ((codes < 0) & (flags == 0)).any(axis=1)
+    keep = np.flatnonzero(timed & ~is_total & ~null)
+    _, first, row = np.unique(key[keep], return_index=True, return_inverse=True)
+    S = np.zeros((len(first), n))
+    S[row.reshape(-1), t_code[keep]] = val[keep]
+    labels = []
+    for cs in codes[keep[first]].tolist():
+        preds = [(a, u[c]) for a, u, c in zip(attrs, uniques, cs) if c >= 0]
+        labels.append(Explanation(tuple(preds)))
     return SeriesMatrix(S=S, labels=labels, total=total, times=list(times), attrs=tuple(attrs))
 
 
@@ -210,41 +192,35 @@ def series_matrix_pandas(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> SeriesMatrix:
-    """Pure-pandas mirror of the Spark cube, for driver-side jobs/tests.
+    """The cube aggregated in pandas, for driver-side jobs and tests.
 
-    Semantically identical to :func:`series_matrix` (asserted by tests);
+    Emits the same long-format rows as :func:`candidate_series` and pivots
+    them with the same :func:`to_matrix`, so it returns the same
+    SeriesMatrix as :func:`series_matrix` (asserted by tests).
     ``measure_col`` must be a concrete column (pre-compute derived measures).
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r}")
-    times = sorted(pdf[time_col].unique())
-    t_index = {t: i for i, t in enumerate(times)}
-    n = len(times)
+    parts = []
+    for sub in _attr_subsets(attrs, beta_max):
+        grp = pdf.groupby([time_col, *sub], sort=False, dropna=False)[measure_col]
+        part = (grp.sum() if agg == "sum" else grp.count()).reset_index()
+        for a in attrs:
+            part[_gcol(a)] = int(a not in sub)
+        parts.append(part.rename(columns={time_col: TIME, measure_col: VAL}))
+    # Attributes outside a part's grouping set come out of the concat as NULL.
+    cube = pd.concat(parts, ignore_index=True)
+    ints = [a for a in attrs if pd.api.types.is_integer_dtype(pdf[a])]
+    return to_matrix(_restore_ints(cube, ints), attrs)
 
-    def agg_series(sub: pd.DataFrame) -> np.ndarray:
-        g = sub.groupby(time_col)[measure_col]
-        ser = g.sum() if agg == "sum" else g.count()
-        out = np.zeros(n)
-        out[[t_index[t] for t in ser.index]] = ser.to_numpy(dtype=float)
-        return out
 
-    total = agg_series(pdf)
-    labels: List[Explanation] = []
-    mats: List[np.ndarray] = []
-    for sub_attrs in _attr_subsets(attrs, beta_max):
-        if not sub_attrs:
-            continue
-        grp = pdf.groupby([time_col, *sub_attrs])[measure_col]
-        ser = grp.sum() if agg == "sum" else grp.count()
-        piv = ser.unstack(level=0).reindex(columns=times).fillna(0.0)
-        for key in piv.index:
-            key_t = key if isinstance(key, tuple) else (key,)
-            labels.append(Explanation(tuple(zip(sub_attrs, key_t))))
-        mats.append(piv.to_numpy(dtype=float))
-    S = np.vstack(mats) if mats else np.zeros((0, n))
-    return SeriesMatrix(
-        S=S, labels=labels, total=total, times=list(times), attrs=tuple(attrs)
-    )
+def _restore_ints(cube: pd.DataFrame, int_attrs: Sequence[str]) -> pd.DataFrame:
+    """An integer attribute with NULLs (every cube row outside its grouping
+    sets) arrives as float from Arrow and from ``pd.concat``; give it back the
+    relation's integer values, so labels read ``P=12``, not ``P=12.0``."""
+    for a in int_attrs:
+        cube[a] = cube[a].astype("Int64")
+    return cube
 
 
 def series_matrix(
@@ -254,12 +230,14 @@ def series_matrix(
     measure_expr: str,
     agg: str = "sum",
     beta_max: int = 3,
-    filter_ratio: Optional[float] = None,
 ) -> SeriesMatrix:
-    """End-to-end module (a): Spark cube (+ optional relational filter) → matrix."""
+    """End-to-end module (a): Spark cube → Arrow collect → matrix."""
     cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
-    if filter_ratio is not None:
-        cand = filter_support_spark(cand, attrs, filter_ratio)
     cols = [TIME, *attrs, *[_gcol(a) for a in attrs], VAL]
     pdf = cand.select(*[F.col(_q(c)) for c in cols]).toPandas()
-    return to_matrix(pdf, attrs)
+    ints = [
+        f.name
+        for f in cand.schema
+        if f.name in attrs and isinstance(f.dataType, IntegralType)
+    ]
+    return to_matrix(_restore_ints(pdf, ints), attrs)

@@ -126,6 +126,15 @@ class ExplanationSpace:
     def candidate_ids(self) -> np.ndarray:
         return np.flatnonzero(self.takeable)
 
+    def align(self, S: np.ndarray, labels: Sequence[Explanation]) -> np.ndarray:
+        """The series matrix with one row per node, in node-id order: row
+        ``r`` of ``S`` (the series of ``labels[r]``) moves to that label's
+        node. Closure-only nodes get a zero row (they are non-takeable, their
+        gamma is never used)."""
+        out = np.zeros((self.n_nodes, S.shape[1]))
+        out[[self.id_of[e] for e in labels]] = S
+        return out
+
     def restrict(self, keep_ids: Sequence[int]) -> Tuple["ExplanationSpace", np.ndarray]:
         """Sub-space whose takeable nodes are exactly ``keep_ids``.
 

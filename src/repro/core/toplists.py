@@ -11,7 +11,7 @@ per-segment path as the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -71,14 +71,18 @@ def _chunk_rows(n_nodes: int, m: int) -> int:
 def compute_toplists(
     S: np.ndarray,
     space: ExplanationSpace,
-    segments: Sequence[Segment],
+    segments: np.ndarray | Iterable[Segment],
     m: int,
     use_gv: bool = True,
     m_bar0: int = 30,
 ) -> TopLists:
     """Run CA (optionally with guess-and-verify) for every segment, locally,
-    with the batched kernel over chunks of segments."""
-    segs = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2)
+    with the batched kernel over chunks of segments. ``segments`` is an
+    (R, 2) array (as :func:`repro.core.kseg.all_segments` returns) or any
+    iterable of (s, e) pairs."""
+    if not isinstance(segments, np.ndarray):
+        segments = list(segments)
+    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
     R = len(segs)
     ids = np.full((R, m), -1, dtype=np.int64)
     gammas = np.zeros((R, m))

@@ -88,6 +88,9 @@ class TestQualityAndLatencyJobs:
         df = fig15_latency.run(small=True)
         assert set(df["variant"]) == {"w filter", "O1+O2"}
         assert (df["total_s"] > 0).all()
+        # Sketch phase I has its own column; without the sketch it is 0.
+        assert (df.loc[df["variant"] == "w filter", "sketch_s"] == 0).all()
+        assert (df.loc[df["variant"] == "O1+O2", "sketch_s"] > 0).all()
 
     def test_fig16_small(self, monkeypatch):
         # restrict to the two covid-like datasets for speed

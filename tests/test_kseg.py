@@ -35,7 +35,7 @@ def _brute_force(n, K, cost_of):
 def test_dp_matches_brute_force(seed, K):
     n = 9
     segs, costs = _random_costs(seed, n)
-    cost_of = dict(zip(segs, costs))
+    cost_of = dict(zip(map(tuple, segs.tolist()), costs))
     C = build_cost_matrix(range(n), segs, costs)
     res = dp_segment(C, list(range(n)), k_max=5)
     bf_total, bf_cuts = _brute_force(n, K, cost_of)
@@ -67,7 +67,7 @@ def test_restricted_positions():
     for k, cuts in res.cuts.items():
         assert set(cuts) <= {3, 7, 11}
     # Brute force over the restricted position set.
-    cost_of = dict(zip(segs, costs))
+    cost_of = dict(zip(map(tuple, segs.tolist()), costs))
     interior = [3, 7, 11]
     for K in (2, 3):
         best = min(
@@ -133,3 +133,20 @@ def test_single_position_pair_rejected():
 def test_segments_of_cuts():
     assert segments_of_cuts([3, 7], 10) == [(0, 3), (3, 7), (7, 9)]
     assert segments_of_cuts([], 5) == [(0, 4)]
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 3, 20])
+def test_all_segments_array(max_len):
+    """An (R, 2) int64 array of every s < e pair over the sorted positions,
+    row-major, bounded by max_len."""
+    positions = [0, 2, 3, 7, 8, 12]
+    segs = all_segments(positions, max_len=max_len)
+    want = [
+        (s, e)
+        for i, s in enumerate(positions)
+        for e in positions[i + 1 :]
+        if max_len is None or e - s <= max_len
+    ]
+    assert segs.dtype == np.int64 and segs.shape == (len(want), 2)
+    assert list(map(tuple, segs.tolist())) == want
+    assert all_segments([5]).shape == (0, 2)

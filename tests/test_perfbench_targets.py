@@ -60,3 +60,29 @@ def test_pipeline_reaches_traced_layers():
     assert P < sd.S.shape[1]  # the sketch shrank phase II
     assert metrics["segcost.centroids"] == P * (P - 1) // 2
     assert metrics["sketch.phase1_segcost_s"] > 0
+
+
+def test_relation_reaches_precompute_layers(spark):
+    """``explain_relation`` builds its matrix through the traced module (a)
+    names; the pivot span counts every collected cube row."""
+    from repro.core.pipeline import explain_relation
+    from repro.core.precompute import candidate_series
+
+    layers = _layers()
+    sd = synthetic.generate(n=30, snr_db=45, seed=5)
+    df = spark.createDataFrame(sd.relation_sum())
+    tracer = layers.Tracer()
+    call = tracer.traced(
+        lambda: explain_relation(df, "T", ["category"], "sales", "sum", Config(K=2))
+    )
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    spans = {s.name: s for s in tracer.spans}
+    assert {"precompute.series_matrix", "precompute.cube_plan", "precompute.pivot"} <= set(spans)
+    cube_rows = candidate_series(df, "T", ["category"], "sales").count()
+    assert spans["precompute.pivot"].attrs["rows"] == cube_rows
+    metrics = layers.call_metrics(tracer.spans, 2)
+    assert metrics["precompute.cube_rows"] == cube_rows

@@ -1,9 +1,11 @@
 """Matrix-path end-to-end pipeline: recovery of planted segmentations."""
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import Config, ExplainResult, explain_series, moving_average
 from repro.core.types import Explanation
 from repro.datasets import synthetic
@@ -72,8 +74,25 @@ class TestResultContract:
         assert len(res.cuts) == res.K - 1
         assert len(res.segments) == res.K
         assert len(res.curve) <= Config().k_max
-        assert set(res.timings) >= {"precompute", "ca", "kseg", "total"}
+        assert set(res.timings) >= {"precompute", "ca", "sketch", "kseg", "total"}
         assert res.total_variance >= 0
+
+    def test_sketch_timed_apart_from_ca(self, monkeypatch):
+        """Sketch phase I is its own stage: the time spent in
+        ``select_sketch`` lands in ``timings["sketch"]``, not in ``ca``."""
+        select = pipeline.select_sketch
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "select_sketch", slow)
+        S, labels, total = _planted()
+        res = explain_series(S, labels, ["cat"], total, Config(K=2))
+        assert res.timings["sketch"] >= 0.2
+        assert res.timings["ca"] < 0.2
+        off = explain_series(S, labels, ["cat"], total, Config(K=2, use_sketch=False))
+        assert off.timings["sketch"] < 0.01
 
     def test_segments_tile_domain(self):
         S, labels, total = _planted()
@@ -141,7 +160,6 @@ class TestDegenerateInput:
             dict(K=0),
             dict(k_max=0),
             dict(beta_max=0),
-            dict(gv_m_bar0=0),
             dict(metric="no-such-metric"),
         ],
     )

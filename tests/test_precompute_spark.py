@@ -1,5 +1,6 @@
-"""Spark GROUPING SETS precompute: DuckDB oracle equivalence, pandas-mirror
-parity, relational support filter, odd column names."""
+"""Spark GROUPING SETS precompute: DuckDB oracle equivalence, one pivot for
+the Spark and pandas engines (same labels, order and values), the NULL rule,
+odd column names."""
 import numpy as np
 import pytest
 
@@ -7,15 +8,25 @@ from repro.core.precompute import (
     TIME,
     VAL,
     _gcol,
+    SeriesMatrix,
     candidate_series,
-    filter_support_spark,
     series_matrix,
     series_matrix_pandas,
-    to_matrix,
 )
-from repro.core.filtering import support_mask
-from repro.datasets import liquor_like, synthetic
+from repro.core.types import Explanation
+from repro.datasets import covid_like, liquor_like, synthetic
 from repro.oracle import assert_equivalent
+
+
+def assert_same_matrix(a: SeriesMatrix, b: SeriesMatrix) -> None:
+    """Same labels in the same order (equal as values and as strings),
+    bit-equal series and total, same times."""
+    assert a.labels == b.labels
+    assert [e.label for e in a.labels] == [e.label for e in b.labels]
+    assert np.array_equal(a.S, b.S)
+    assert np.array_equal(a.total, b.total)
+    assert a.times == b.times
+    assert a.attrs == b.attrs
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +103,7 @@ class TestMatrixParity:
         sdf = spark.createDataFrame(synth_rel)
         sm_s = series_matrix(sdf, "T", ["category"], "sales", "sum")
         sm_p = series_matrix_pandas(synth_rel, "T", ["category"], "sales", "sum")
-        assert set(sm_s.labels) == set(sm_p.labels)
-        idx = {e: i for i, e in enumerate(sm_s.labels)}
-        perm = [idx[e] for e in sm_p.labels]
-        np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
-        np.testing.assert_allclose(sm_s.total, sm_p.total)
-        assert sm_s.times == sm_p.times
+        assert_same_matrix(sm_s, sm_p)
 
     def test_multiattr_parity(self, spark):
         lq = liquor_like.generate(n=10, n_combos=50, seed=4)
@@ -106,10 +112,24 @@ class TestMatrixParity:
             spark.createDataFrame(rel), "date", list(lq.attrs), "bottles", beta_max=3
         )
         sm_p = series_matrix_pandas(rel, "date", list(lq.attrs), "bottles", beta_max=3)
-        assert set(sm_s.labels) == set(sm_p.labels)
-        idx = {e: i for i, e in enumerate(sm_s.labels)}
-        perm = [idx[e] for e in sm_p.labels]
-        np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
+        assert_same_matrix(sm_s, sm_p)
+
+    @pytest.mark.parametrize("name", ["liquor", "covid", "bottle volume"])
+    def test_engines_give_the_same_matrix(self, spark, name):
+        if name == "covid":
+            rel = covid_like.generate(n=160, seed=1).relation()
+            attrs, measure = ["state"], "daily_confirmed"
+        else:
+            lq = liquor_like.generate(n=128, n_combos=600, seed=1)
+            rel, attrs, measure = lq.relation(), list(lq.attrs), "bottles"
+            if name == "bottle volume":
+                rel = rel.rename(columns={"BV": name})
+                attrs = [name if a == "BV" else a for a in attrs]
+        sm_s = series_matrix(spark.createDataFrame(rel), "date", attrs, measure)
+        sm_p = series_matrix_pandas(rel, "date", attrs, measure)
+        assert_same_matrix(sm_s, sm_p)
+        # Integer attributes keep the relation's values: P=12, not P=12.0.
+        assert not any(".0" in e.label for e in sm_s.labels)
 
     def test_missing_slices_are_zero(self, spark):
         import pandas as pd
@@ -122,57 +142,51 @@ class TestMatrixParity:
         np.testing.assert_allclose(sm.S[row_b], [0.0, 7.0])
 
 
-class TestFilterSpark:
-    def test_matches_matrix_filter(self, spark):
-        lq = liquor_like.generate(n=10, n_combos=40, seed=6)
-        rel = lq.relation()
-        sdf = spark.createDataFrame(rel)
-        cand = candidate_series(sdf, "date", list(lq.attrs), "bottles")
-        for ratio in (0.001, 0.02, 0.2):
-            sm_all = series_matrix(sdf, "date", list(lq.attrs), "bottles")
-            mask = support_mask(sm_all.S, sm_all.total, ratio)
-            kept_pdf = (
-                filter_support_spark(cand, list(lq.attrs), ratio)
-                .filter("__order >= 1")
-                .toPandas()
-            )
-            sm_kept = to_matrix(
-                __import__("pandas").concat(
-                    [kept_pdf, cand.filter("__order = 0").toPandas()]
-                ),
-                list(lq.attrs),
-            )
-            assert set(sm_kept.labels) == {
-                e for e, k in zip(sm_all.labels, mask) if k
-            }, f"ratio {ratio}"
+class TestNullValues:
+    """NULL rule (``to_matrix``): a NULL explain-by value yields no
+    ``attr=NULL`` explanation, but its rows count in the overall series and
+    in every explanation that does not constrain that attribute."""
 
-    def test_keeps_total_rows(self, spark, synth_rel):
-        sdf = spark.createDataFrame(synth_rel)
-        cand = candidate_series(sdf, "T", ["category"], "sales")
-        out = filter_support_spark(cand, ["category"], 0.99)
-        assert out.filter("__order = 0").count() == 30
-        assert out.filter("__order >= 1").count() == 0
+    def _rel(self):
+        import pandas as pd
+
+        return pd.DataFrame(
+            {
+                "t": [1, 1, 1, 2, 2, 2],
+                "s": ["a", None, "b", "a", "b", None],
+                "i": pd.array([7, 7, None, None, 8, 7], dtype="Int64"),
+                "x": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+            }
+        )
+
+    def test_same_rule_on_both_engines(self, spark):
+        rel = self._rel()
+        sm_s = series_matrix(spark.createDataFrame(rel), "t", ["s", "i"], "x")
+        sm_p = series_matrix_pandas(rel, "t", ["s", "i"], "x")
+        assert_same_matrix(sm_s, sm_p)
+        np.testing.assert_array_equal(sm_s.total, [7.0, 56.0])
+        want = {
+            Explanation.of(s="a", i=7): [1.0, 0.0],
+            Explanation.of(s="b", i=8): [0.0, 16.0],
+            Explanation.of(s="a"): [1.0, 8.0],
+            Explanation.of(s="b"): [4.0, 16.0],
+            Explanation.of(i=7): [3.0, 32.0],
+            Explanation.of(i=8): [0.0, 16.0],
+        }
+        assert set(sm_s.labels) == set(want)
+        for e, row in zip(sm_s.labels, sm_s.S):
+            np.testing.assert_array_equal(row, want[e], err_msg=e.label)
+        assert all(isinstance(v, int) for e in sm_s.labels for a, v in e.preds if a == "i")
 
 
 class TestOddColumnNames:
     def test_space_in_attribute_name(self, spark):
-        """Explain-by names are quoted in the cube SQL and the filter join."""
+        """Explain-by names are quoted in the cube's column references."""
         lq = liquor_like.generate(n=10, n_combos=30, seed=5)
         rel = lq.relation().rename(columns={"BV": "bottle volume"})
         attrs = ["bottle volume", "P"]
         sm_p = series_matrix_pandas(rel, "date", attrs, "bottles", beta_max=2)
-        for ratio in (None, 0.02):
-            sm_s = series_matrix(
-                spark.createDataFrame(rel), "date", attrs, "bottles",
-                beta_max=2, filter_ratio=ratio,
-            )
-            keep = (
-                support_mask(sm_p.S, sm_p.total, ratio)
-                if ratio is not None
-                else np.ones(len(sm_p.labels), dtype=bool)
-            )
-            want = {e: row for e, row, k in zip(sm_p.labels, sm_p.S, keep) if k}
-            assert set(sm_s.labels) == set(want)
-            for e, row in zip(sm_s.labels, sm_s.S):
-                np.testing.assert_allclose(row, want[e])
-            np.testing.assert_allclose(sm_s.total, sm_p.total)
+        sm_s = series_matrix(
+            spark.createDataFrame(rel), "date", attrs, "bottles", beta_max=2
+        )
+        assert_same_matrix(sm_s, sm_p)

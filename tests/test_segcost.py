@@ -11,7 +11,6 @@ from repro.core.segcost import (
     pointwise_costs,
 )
 from repro.core.kseg import all_segments
-from repro.core.pipeline import _aligned_matrix
 from repro.core.space import ExplanationSpace
 from repro.core.toplists import TopLists, compute_toplists, dcg_weights, object_segments
 from repro.core.types import Explanation
@@ -92,7 +91,7 @@ def _case(name):
         labels = [Explanation.of(a=a, b=b) for a in "xy" for b in "uvw"]
         attrs = ["a", "b"]
     space = ExplanationSpace(labels, attrs)
-    S_al = _aligned_matrix(S, labels, space)
+    S_al = space.align(S, labels)
     obj_tl = compute_toplists(S_al, space, object_segments(n), m, use_gv=False)
     segs = all_segments(positions, max_len=max_len)
     cen_tl = compute_toplists(S_al, space, segs, m, use_gv=False)

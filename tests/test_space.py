@@ -116,3 +116,26 @@ class TestRestrict:
         sub_gamma = gamma[old]
         for new_id in range(sub.n_nodes):
             assert sub_gamma[new_id] == gamma[space.id_of[sub.explanations[new_id]]]
+
+
+class TestAlign:
+    def test_rows_move_to_their_nodes(self):
+        space, labels = _space_abc()
+        S = np.arange(len(labels) * 3, dtype=float).reshape(len(labels), 3)
+        # Input order differs from id order: the rows follow their labels.
+        perm = [4, 0, 3, 1, 2]
+        out = space.align(S[perm], [labels[i] for i in perm])
+        assert out.shape == (space.n_nodes, 3)
+        for row, e in enumerate(labels):
+            np.testing.assert_array_equal(out[space.id_of[e]], S[row])
+
+    def test_closure_nodes_get_zero_rows(self):
+        space, labels = _space_abc()
+        out = space.align(np.ones((len(labels), 2)), labels)
+        closure = ~space.takeable
+        assert closure.any()
+        assert (out[closure] == 0).all() and (out[space.takeable] == 1).all()
+
+    def test_empty_space(self):
+        space = ExplanationSpace([], ["a"])
+        assert space.align(np.zeros((0, 4)), []).shape == (0, 4)

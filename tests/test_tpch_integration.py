@@ -1,7 +1,7 @@
-"""Join-aggregation-sort integration on TPC-H-lite: a revenue KPI over
+"""Join-aggregation-pivot integration on TPC-H-lite: a revenue KPI over
 lineitem ⋈ part, explained by (l_returnflag, l_linestatus, p_brand).
 
-Exercises the shuffle join + GROUPING SETS aggregation + time ordering path
+Exercises the shuffle join + GROUPING SETS aggregation + pivot path
 end-to-end, with DuckDB oracle checks on the relational stages.
 """
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.pipeline import Config, explain_relation
-from repro.core.precompute import TIME, VAL, _gcol, candidate_series
+from repro.core.precompute import TIME, VAL, _gcol, candidate_series, series_matrix
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem, part
 
@@ -76,6 +76,9 @@ class TestJoinAggSort:
                 assert gamma >= 0
 
     def test_series_sorted_by_time(self, spark, joined):
+        """The cube comes back in no row order; the pivot sorts by time."""
         cand = candidate_series(joined, "month", ATTRS, "revenue", beta_max=1)
-        pdf = cand.filter("__order = 0").toPandas()
-        assert list(pdf[TIME]) == sorted(pdf[TIME])
+        pdf = cand.filter("__order = 0").toPandas().sort_values(TIME)
+        sm = series_matrix(joined, "month", ATTRS, "revenue", beta_max=1)
+        assert sm.times == sorted(sm.times) == list(pdf[TIME])
+        np.testing.assert_allclose(sm.total, pdf[VAL].to_numpy())
