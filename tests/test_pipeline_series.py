@@ -161,6 +161,7 @@ class TestDegenerateInput:
             dict(k_max=0),
             dict(beta_max=0),
             dict(metric="no-such-metric"),
+            dict(K=-1),
         ],
     )
     def test_config_rejects_out_of_range(self, kw):
